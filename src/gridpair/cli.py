@@ -13,7 +13,12 @@ from random import Random
 from typing import Sequence
 
 from .demand import DemandGraph, from_pairing, random_demand_multigraph, random_pairing
-from .errors import BaseSolverExhaustedError, FormatError, InfeasibleBudgetError
+from .errors import (
+    BaseSolverExhaustedError,
+    ClaimViolationError,
+    FormatError,
+    InfeasibleBudgetError,
+)
 from .formats import emit_instance, emit_routing, parse_instance, parse_routing
 from .grid import GridSpec
 from .router import shorten_trail, solve
@@ -23,7 +28,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INFEASIBLE = 2
 EXIT_EXHAUSTED = 3
-EXIT_VERIFY_BUG = 4
+EXIT_BUG = 4
 EXIT_FORMAT = 5
 
 
@@ -126,7 +131,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     report = verify(dg.spec, dg, routing)
     if not report.ok:
         print(_render_report(report, 6 * dg.spec.n - 3), file=sys.stderr)
-        return _fail("routing failed verification; this is a bug", EXIT_VERIFY_BUG)
+        return _fail("routing failed verification; this is a bug", EXIT_BUG)
     Path(args.output).write_text(emit_routing(routing))
     print(
         f"routed {len(routing)} demands on K_{dg.spec.t}^{dg.spec.n}; "
@@ -222,7 +227,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"mean {sum(times) / len(times) * 1000:.1f} ms, "
             f"max {max(times) * 1000:.1f} ms"
         )
-    return EXIT_OK if all_ok else EXIT_VERIFY_BUG
+    return EXIT_OK if all_ok else EXIT_BUG
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("instance", help="instance file")
     route.add_argument("output", help="routing file to write")
     route.add_argument("--seed", type=int, help="seed (default: $GRIDPAIR_SEED or 0)")
-    route.add_argument("--jobs", type=int, default=1, help="concurrent subproblem workers")
+    route.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; changes neither output nor speed",
+    )
     route.add_argument(
         "--unchecked", action="store_true",
         help="skip the degree-budget feasibility gate (best effort, still verified)",
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=("pairing", "multigraph"), default="pairing")
     bench.add_argument("--q", type=int, help="target max degree for multigraph mode")
     bench.add_argument("--seed", type=int, help="base seed (default: $GRIDPAIR_SEED or 0)")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=int, default=1, help="as for route: no effect")
     bench.add_argument("--unchecked", action="store_true")
     bench.set_defaults(func=_cmd_bench)
     return parser
@@ -290,3 +298,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except FormatError as exc:
         return _fail(str(exc), EXIT_FORMAT)
+    except ClaimViolationError as exc:
+        return _fail(f"{exc}; this is a bug", EXIT_BUG)

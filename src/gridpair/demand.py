@@ -1,9 +1,10 @@
 """Demand multigraphs, degree budgets, and the column-projection graph.
 
-A demand asks for a trail between two grid vertices. Cross-column demands
-are projected onto column coordinates to form an auxiliary multigraph, which
-is padded with dummy edges until it is exactly t*q-regular; the padded graph
-is what the 2-factor machinery decomposes.
+A demand asks for a trail between two grid vertices. Inside the router a
+demand is a (key, u rank, v rank) triple. Cross-column demands are projected
+onto their columns to form an auxiliary multigraph, which is padded with
+dummy edges until it is exactly t*q-regular; the padded graph is what the
+2-factor machinery decomposes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from random import Random
 from typing import Sequence
 
 from .errors import InfeasibleBudgetError
-from .grid import GridSpec, Vertex, column_of, vertex_rank
+from .factorization import Multigraph
+from .grid import GridSpec, Vertex
 
 
 @dataclass(frozen=True)
@@ -93,99 +95,70 @@ def choose_q(spec: GridSpec, delta: int) -> int:
     return q
 
 
-def split_demands(dg: DemandGraph) -> tuple[list[DemandEdge], list[DemandEdge]]:
-    """Partition demands into (intra_column, cross_column) by column coordinates."""
-    intra: list[DemandEdge] = []
-    cross: list[DemandEdge] = []
-    for d in dg.edges:
-        (cross if column_of(d.u) != column_of(d.v) else intra).append(d)
+RankDemand = tuple[int, int, int]
+"""(key, u, v) with u and v vertex ranks of one grid: the router's demand form."""
+
+
+def split_demands(
+    demands: Sequence[RankDemand], t: int
+) -> tuple[list[RankDemand], list[RankDemand]]:
+    """Partition rank demands into (intra_column, cross_column); rank r lies in column r // t."""
+    intra: list[RankDemand] = []
+    cross: list[RankDemand] = []
+    for d in demands:
+        (cross if d[1] // t != d[2] // t else intra).append(d)
     return intra, cross
 
 
-@dataclass(frozen=True)
-class AuxEdge:
-    """Edge of the projection graph; origin is a demand id, or None for padding."""
+def project(cross: Sequence[RankDemand], t: int, n: int) -> Multigraph:
+    """Project cross-column demands of K_t^n onto its t^(n-1) columns.
 
-    a: Vertex
-    b: Vertex
-    origin: int | None = None
-
-    @property
-    def is_dummy(self) -> bool:
-        return self.origin is None
-
-
-@dataclass(frozen=True)
-class AuxGraph:
-    """Multigraph on the columns of the grid; loops appear only on dummy edges."""
-
-    base: GridSpec
-    edges: tuple[AuxEdge, ...]
-
-    def degrees(self) -> Counter[Vertex]:
-        deg: Counter[Vertex] = Counter()
-        for e in self.edges:
-            deg[e.a] += 1
-            deg[e.b] += 1  # a loop lands here twice
-        return deg
-
-    @property
-    def max_degree(self) -> int:
-        deg = self.degrees()
-        return max(deg.values()) if deg else 0
-
-    def edge_of_demand(self) -> dict[int, int]:
-        """Demand id -> index of its projected edge."""
-        return {e.origin: i for i, e in enumerate(self.edges) if e.origin is not None}
-
-
-def project(cross: Sequence[DemandEdge], spec: GridSpec) -> AuxGraph:
-    """Project cross-column demands onto column coordinates, one edge per demand."""
-    if spec.n < 2:
+    Edge i of the result is the projection of cross[i].
+    """
+    if n < 2:
         raise ValueError("projection requires dimension n >= 2")
     edges = []
-    for d in cross:
-        a, b = column_of(d.u), column_of(d.v)
+    for key, u, v in cross:
+        a, b = u // t, v // t
         if a == b:
-            raise ValueError(f"demand {d.id} stays inside column {a!r}; not projectable")
-        edges.append(AuxEdge(a, b, d.id))
-    return AuxGraph(GridSpec(spec.t, spec.n - 1), tuple(edges))
+            raise ValueError(f"demand {key} stays inside column {a}; not projectable")
+        edges.append((a, b))
+    return Multigraph(t ** (n - 1), tuple(edges))
 
 
-def regularize(aux: AuxGraph, r: int) -> AuxGraph:
-    """Pad with dummy edges until every column vertex has degree exactly r.
+def regularize(g: Multigraph, r: int) -> Multigraph:
+    """Append dummy edges until every vertex has degree exactly r.
 
-    Repeatedly joins the two most deficient vertices; a final lone deficient
-    vertex (even deficiency, by parity) receives dummy loops. Existing edges
-    are never touched.
+    Repeatedly joins the two most deficient vertices, the lower rank first on
+    ties; a final lone deficient vertex (even deficiency, by parity) receives
+    dummy loops. Existing edges keep their positions.
     """
-    deg = aux.degrees()
-    deficits: list[tuple[int, int, Vertex]] = []  # (-deficit, rank, vertex)
+    deficits: list[tuple[int, int]] = []  # (-deficit, vertex)
     total = 0
-    for v in aux.base.vertices():
-        d = r - deg.get(v, 0)
+    for v, deg in enumerate(g.degrees()):
+        d = r - deg
         if d < 0:
-            raise ValueError(f"vertex {v!r} has degree {deg[v]} > target {r}")
+            raise ValueError(f"vertex {v} has degree {deg} > target {r}")
         if d > 0:
-            deficits.append((-d, vertex_rank(v, aux.base), v))
+            deficits.append((-d, v))
             total += d
     if total % 2:
         raise ValueError(f"total deficiency {total} is odd; degree {r} unreachable")
     heapq.heapify(deficits)
-    padding: list[AuxEdge] = []
+    padding: list[tuple[int, int]] = []
     while len(deficits) >= 2:
-        da, ra, va = heapq.heappop(deficits)
-        db, rb, vb = heapq.heappop(deficits)
-        padding.append(AuxEdge(va, vb))
+        da, va = heapq.heappop(deficits)
+        db, vb = heapq.heappop(deficits)
+        padding.append((va, vb))
         if da + 1 < 0:
-            heapq.heappush(deficits, (da + 1, ra, va))
+            heapq.heappush(deficits, (da + 1, va))
         if db + 1 < 0:
-            heapq.heappush(deficits, (db + 1, rb, vb))
+            heapq.heappush(deficits, (db + 1, vb))
     if deficits:
-        d, _, v = deficits[0]
+        d, v = deficits[0]
         assert d % 2 == 0, "parity leaves an even deficiency on the last vertex"
-        padding.extend(AuxEdge(v, v) for _ in range(-d // 2))
-    return AuxGraph(aux.base, aux.edges + tuple(padding))
+        padding.extend([(v, v)] * (-d // 2))
+    return Multigraph(g.num_vertices, g.edges + tuple(padding))
 
 
 def random_pairing(spec: GridSpec, rng: Random) -> list[tuple[Vertex, Vertex]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 
@@ -248,13 +247,10 @@ def _peel_matching(
     return sorted(match_l)
 
 
-def group_factors(
-    factors: Sequence[TwoFactor], q: int, t: int, rng: Random | None = None
-) -> LayerAssignment:
+def group_factors(factors: Sequence[TwoFactor], q: int, t: int) -> LayerAssignment:
     """Assign q/2 consecutive factors to each of the t layers.
 
-    Grouping follows the input order unless an rng is supplied to shuffle it;
-    each factor contributes at most 2 to any vertex degree, so every layer's
+    Each factor contributes at most 2 to any vertex degree, so every layer's
     subgraph has maximum degree at most q.
     """
     if q < 2 or q % 2:
@@ -262,13 +258,10 @@ def group_factors(
     expected = t * q // 2
     if len(factors) != expected:
         raise ValueError(f"expected {expected} factors for t={t}, q={q}, got {len(factors)}")
-    order = list(range(len(factors)))
-    if rng is not None:
-        rng.shuffle(order)
     per_layer = q // 2
     edge_layer: dict[int, int] = {}
-    for pos, fi in enumerate(order):
+    for pos, factor in enumerate(factors):
         layer = pos // per_layer
-        for eid in factors[fi].edge_ids:
+        for eid in factor.edge_ids:
             edge_layer[eid] = layer
     return LayerAssignment(edge_layer=edge_layer, t=t, q=q)

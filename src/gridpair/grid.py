@@ -170,10 +170,3 @@ class Trail:
             if rank in seen:
                 raise ValueError(f"edge {u!r} -- {v!r} repeats within the trail")
             seen.add(rank)
-
-
-def lift_trail(trail: Trail, k: int, t: int) -> Trail:
-    """Embed a trail of K_t^(n-1) into layer k of K_t^n by appending coordinate k."""
-    if not 0 <= k < t:
-        raise ValueError(f"layer index {k} outside [0, {t})")
-    return Trail(tuple(v + (k,) for v in trail.vertices))

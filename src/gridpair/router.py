@@ -1,64 +1,30 @@
 """Recursive routing engine for demand multigraphs on complete grid graphs.
 
+The engine works on vertex ranks (mixed radix, last coordinate least
+significant), so rank r of K_t^n lies in column r // t and layer r % t.
 Cross-column demands are rerouted through a layer chosen by 2-factorizing the
 regularized column-projection graph: each becomes a column hop, a layer
 crossing, and a second column hop. Layers recurse one dimension down, columns
 and one-dimensional instances are solved directly on the complete graph, and
-the pieces are stitched back per original demand. Column and layer edge sets
+the pieces are concatenated per original demand. Column and layer edge sets
 are pairwise disjoint, so edge-disjointness composes across subproblems.
+Coordinates appear only where `solve` reads its input and builds its result.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Hashable, Sequence
 
-from .demand import (
-    AuxGraph,
-    DemandEdge,
-    DemandGraph,
-    choose_q,
-    project,
-    regularize,
-    split_demands,
-)
+from .demand import DemandGraph, RankDemand, choose_q, project, regularize, split_demands
 from .errors import BaseSolverExhaustedError, ClaimViolationError, InfeasibleBudgetError
-from .factorization import LayerAssignment, Multigraph, group_factors, two_factorization
-from .grid import GridSpec, Trail, Vertex, column_of, lift_trail, vertex_rank
+from .factorization import LayerAssignment, group_factors, two_factorization
+from .grid import Trail, Vertex, vertex_from_rank, vertex_rank
 
 Routing = dict[int, Trail]
-
-ColumnKey = tuple[int, str]  # (original demand id, role: "d" intra / "u", "v" connector)
-
-
-@dataclass(frozen=True)
-class RewrittenDemand:
-    """Replacement of a cross-column demand by up to three chained demands."""
-
-    original_id: int
-    connector_u: DemandEdge | None
-    middle: DemandEdge
-    connector_v: DemandEdge | None
-
-
-@dataclass
-class SubproblemLayer:
-    """Demands falling into layer k, with the last coordinate already stripped."""
-
-    k: int
-    demands: list[DemandEdge]
-
-
-@dataclass
-class SubproblemColumn:
-    """Demands inside one column, addressed by last coordinate."""
-
-    column: Vertex
-    demands: list[tuple[ColumnKey, int, int]]
 
 
 @dataclass
@@ -77,95 +43,64 @@ class RouteDiagnostics:
         return all(lm <= lb and cm <= cb for _, lm, lb, cm, cb in self.records)
 
 
-def rewrite(d: DemandEdge, k: int) -> RewrittenDemand:
-    """Reroute demand d through layer k: column hop, layer crossing, column hop.
-
-    A connector vanishes when its endpoint already lies in layer k.
-    """
-    a, i = column_of(d.u), d.u[-1]
-    b, j = column_of(d.v), d.v[-1]
-    if a == b:
-        raise ValueError(f"demand {d.id} stays within column {a!r}; nothing to rewrite")
-    top_u = a + (k,)
-    top_v = b + (k,)
-    connector_u = None if i == k else DemandEdge(d.id, d.u, top_u)
-    connector_v = None if j == k else DemandEdge(d.id, top_v, d.v)
-    return RewrittenDemand(d.id, connector_u, DemandEdge(d.id, top_u, top_v), connector_v)
-
-
 def build_subproblems(
-    dg: DemandGraph,
+    intra: Sequence[RankDemand],
+    cross: Sequence[RankDemand],
     assignment: LayerAssignment,
-    aux: AuxGraph,
+    n: int,
     diagnostics: RouteDiagnostics | None = None,
-) -> tuple[list[SubproblemLayer], dict[Vertex, SubproblemColumn], dict[int, RewrittenDemand]]:
-    """Distribute demands into t layer subproblems and per-column subproblems.
+) -> tuple[list[list[RankDemand]], dict[int, list[RankDemand]]]:
+    """Distribute the demands of K_t^n into t layer and per-column subproblems.
 
-    Middles join their assigned layer (coordinates stripped); connectors and
-    intra-column demands join their column. Degree bounds are asserted here:
-    a layer above q or a column above 2q raises ClaimViolationError, which
-    always means an upstream bug.
+    cross[i] crosses in layer k = assignment.edge_layer[i] as (key, column of
+    u, column of v) on K_t^(n-1). Its connectors join the columns of u and v
+    as (key, u % t, k) and (key, k, v % t); a connector vanishes when its
+    endpoint already lies in layer k. Intra-column demands join their column
+    as (key, u % t, v % t). Columns are keyed by column rank, and a key
+    occurs at most once per column. Degree bounds are asserted here: a layer
+    above q or a column above 2q raises ClaimViolationError, which always
+    means an upstream bug.
     """
-    spec, q = dg.spec, dg.q
-    if q is None:
-        raise ValueError("demand graph needs a budget before subproblem construction")
-    intra, cross = split_demands(dg)
-    edge_of = aux.edge_of_demand()
-    layers = [SubproblemLayer(k, []) for k in range(spec.t)]
-    columns: dict[Vertex, SubproblemColumn] = {}
-    rewrites: dict[int, RewrittenDemand] = {}
-
-    def col(cv: Vertex) -> SubproblemColumn:
-        sp = columns.get(cv)
-        if sp is None:
-            sp = columns[cv] = SubproblemColumn(cv, [])
-        return sp
-
-    for d in cross:
-        eid = edge_of.get(d.id)
-        if eid is None:
-            raise ValueError(f"cross-column demand {d.id} has no projected edge")
+    t, q = assignment.t, assignment.q
+    layers: list[list[RankDemand]] = [[] for _ in range(t)]
+    columns: defaultdict[int, list[RankDemand]] = defaultdict(list)
+    # Endpoints as grid ranks: layer k's vertex c is grid vertex c*t + k.
+    layer_ends: list[int] = []
+    column_ends: list[int] = []
+    for eid, (key, u, v) in enumerate(cross):
         k = assignment.edge_layer[eid]
-        rw = rewrite(d, k)
-        rewrites[d.id] = rw
-        layers[k].demands.append(
-            DemandEdge(d.id, column_of(rw.middle.u), column_of(rw.middle.v))
-        )
-        if rw.connector_u is not None:
-            col(column_of(d.u)).demands.append(((d.id, "u"), d.u[-1], k))
-        if rw.connector_v is not None:
-            col(column_of(d.v)).demands.append(((d.id, "v"), k, d.v[-1]))
-    for d in intra:
-        col(column_of(d.u)).demands.append(((d.id, "d"), d.u[-1], d.v[-1]))
+        cu, i = divmod(u, t)
+        cv, j = divmod(v, t)
+        top_u, top_v = cu * t + k, cv * t + k
+        layers[k].append((key, cu, cv))
+        layer_ends += (top_u, top_v)
+        if i != k:
+            columns[cu].append((key, i, k))
+            column_ends += (u, top_u)
+        if j != k:
+            columns[cv].append((key, k, j))
+            column_ends += (top_v, v)
+    for key, u, v in intra:
+        c, i = divmod(u, t)
+        columns[c].append((key, i, v % t))
+        column_ends += (u, v)
 
-    layer_max = 0
-    for sp in layers:
-        deg: Counter[Vertex] = Counter()
-        for d in sp.demands:
-            deg[d.u] += 1
-            deg[d.v] += 1
-        if deg:
-            worst = max(deg.values())
-            if worst > q:
-                raise ClaimViolationError(
-                    "i", f"layer {sp.k} reaches demand degree {worst} > q={q}"
-                )
-            layer_max = max(layer_max, worst)
-    column_max = 0
-    for sp in columns.values():
-        cdeg: Counter[int] = Counter()
-        for _, x, y in sp.demands:
-            cdeg[x] += 1
-            cdeg[y] += 1
-        worst = max(cdeg.values())
-        if worst > 2 * q:
+    layer_max = column_max = 0
+    if layer_ends:
+        rank, layer_max = Counter(layer_ends).most_common(1)[0]
+        if layer_max > q:
             raise ClaimViolationError(
-                "ii", f"column {sp.column!r} reaches demand degree {worst} > 2q={2 * q}"
+                "i", f"layer {rank % t} reaches demand degree {layer_max} > q={q}"
             )
-        column_max = max(column_max, worst)
+    if column_ends:
+        rank, column_max = Counter(column_ends).most_common(1)[0]
+        if column_max > 2 * q:
+            raise ClaimViolationError(
+                "ii", f"column {rank // t} reaches demand degree {column_max} > 2q={2 * q}"
+            )
     if diagnostics is not None:
-        diagnostics.record(spec.n, layer_max, q, column_max, 2 * q)
-    return layers, columns, rewrites
+        diagnostics.record(n, layer_max, q, column_max, 2 * q)
+    return layers, dict(columns)
 
 
 _EXHAUSTIVE_MAX_T = 8
@@ -340,36 +275,6 @@ def _derive_seed(seed: int, tag: str, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _oriented(tr: Trail, start: Vertex) -> Trail:
-    if tr.vertices[0] == start:
-        return tr
-    if tr.vertices[-1] == start:
-        return tr.reverse()
-    raise ValueError(f"trail with ends {tr.ends!r} cannot start at {start!r}")
-
-
-def stitch(
-    rw: RewrittenDemand, column_trails: tuple[Trail, Trail], layer_trail: Trail
-) -> Trail:
-    """Concatenate connector and layer pieces into one endpoint-to-endpoint trail.
-
-    Pieces are re-oriented as needed; an absent connector arrives as a
-    single-vertex trail. Raises when the pieces do not chain.
-    """
-    head, tail = column_trails
-    u = rw.connector_u.u if rw.connector_u is not None else rw.middle.u
-    v = rw.connector_v.v if rw.connector_v is not None else rw.middle.v
-    head = _oriented(head, u)
-    middle = _oriented(layer_trail, head.vertices[-1])
-    tail = _oriented(tail, middle.vertices[-1])
-    if tail.vertices[-1] != v:
-        raise ValueError(
-            f"stitched trail for demand {rw.original_id} ends at "
-            f"{tail.vertices[-1]!r}, expected {v!r}"
-        )
-    return Trail(head.vertices + middle.vertices[1:] + tail.vertices[1:])
-
-
 def shorten_trail(tr: Trail) -> Trail:
     """Remove cycles at repeated vertices; keeps endpoints, never lengthens."""
     verts = list(tr.vertices)
@@ -390,7 +295,6 @@ def solve(
     seed: int = 0,
     jobs: int = 1,
     unchecked: bool = False,
-    shuffle_factors: bool = False,
     diagnostics: RouteDiagnostics | None = None,
 ) -> Routing:
     """Route every demand along a trail so that all trails are edge-disjoint.
@@ -398,106 +302,80 @@ def solve(
     One-dimensional instances go straight to the complete-graph solver. In
     higher dimensions the cross-column demands are spread over layers by a
     2-factor decomposition, layers recurse, columns are solved directly, and
-    the pieces are stitched per demand. `unchecked` skips the degree-budget
-    feasibility gate (best effort; the result is still worth verifying).
+    the pieces are concatenated per demand. Every trail starts at its
+    demand's u. `unchecked` skips the degree-budget feasibility gate (best
+    effort; the result is still worth verifying). `jobs` is accepted for
+    compatibility and has no effect on output or speed.
     """
     if not dg.edges:
         return {}
-    q = dg.q
+    spec, q = dg.spec, dg.q
     if q is None:
         delta = dg.max_degree
         if unchecked:
             q = max(2, delta + delta % 2)
         else:
-            q = choose_q(dg.spec, delta)
+            q = choose_q(spec, delta)
     elif not unchecked:
-        cap = dg.spec.t // 6 - 1
+        cap = spec.t // 6 - 1
         if q > cap:
             raise InfeasibleBudgetError(
-                f"budget q={q} exceeds floor(t/6)-1 = {cap} for t={dg.spec.t}"
+                f"budget q={q} exceeds floor(t/6)-1 = {cap} for t={spec.t}"
             )
-    work = dg if dg.q == q else DemandGraph(dg.spec, dg.edges, q)
-    return _solve_rec(work, seed, jobs, shuffle_factors, diagnostics)
+    demands = [(d.id, vertex_rank(d.u, spec), vertex_rank(d.v, spec)) for d in dg.edges]
+    trails = _solve_rec(spec.t, spec.n, demands, q, seed, diagnostics)
+    coords: dict[int, Vertex] = {}
+
+    def vertex(rank: int) -> Vertex:
+        v = coords.get(rank)
+        if v is None:
+            v = coords[rank] = vertex_from_rank(rank, spec)
+        return v
+
+    return {d.id: Trail(tuple(map(vertex, trails[d.id]))) for d in dg.edges}
 
 
 def _solve_rec(
-    dg: DemandGraph,
+    t: int,
+    n: int,
+    demands: Sequence[RankDemand],
+    q: int,
     seed: int,
-    jobs: int,
-    shuffle_factors: bool,
     diagnostics: RouteDiagnostics | None,
-) -> Routing:
-    spec, q = dg.spec, dg.q
-    assert q is not None
-    if spec.n == 1:
-        flat = [(d.id, d.u[0], d.v[0]) for d in dg.edges]
-        raw = solve_complete(spec.t, flat, Random(_derive_seed(seed, "kt", 0)))
-        return {key: Trail(tuple((x,) for x in verts)) for key, verts in raw.items()}
+) -> dict[int, Sequence[int]]:
+    """Rank trails of K_t^n, keyed like `demands` and each starting at its demand's u."""
+    if n == 1:
+        return solve_complete(t, demands, Random(_derive_seed(seed, "kt", 0)))
 
-    intra, cross = split_demands(dg)
+    intra, cross = split_demands(demands, t)
     if cross:
-        aux = regularize(project(cross, spec), spec.t * q)
-        host = Multigraph(
-            aux.base.num_vertices,
-            tuple(
-                (vertex_rank(e.a, aux.base), vertex_rank(e.b, aux.base))
-                for e in aux.edges
-            ),
-        )
-        factors = two_factorization(host, spec.t * q // 2)
-        shuffle_rng = Random(_derive_seed(seed, "factors", 0)) if shuffle_factors else None
-        assignment = group_factors(factors, q, spec.t, shuffle_rng)
+        host = regularize(project(cross, t, n), t * q)
+        assignment = group_factors(two_factorization(host, t * q // 2), q, t)
     else:
-        aux = AuxGraph(GridSpec(spec.t, spec.n - 1), ())
-        assignment = LayerAssignment(edge_layer={}, t=spec.t, q=q)
-    layers, columns, rewrites = build_subproblems(dg, assignment, aux, diagnostics)
+        assignment = LayerAssignment(edge_layer={}, t=t, q=q)
+    layers, columns = build_subproblems(intra, cross, assignment, n, diagnostics)
 
-    base = spec.sub()
-    column_order = sorted(columns, key=lambda cv: vertex_rank(cv, base))
-    layer_order = [sp for sp in layers if sp.demands]
+    column_trails = {
+        c: solve_complete(t, ds, Random(_derive_seed(seed, "column", c)))
+        for c, ds in columns.items()
+    }
+    layer_trails = {
+        k: _solve_rec(t, n - 1, ds, q, _derive_seed(seed, "layer", k), diagnostics)
+        for k, ds in enumerate(layers)
+        if ds
+    }
 
-    def run_column(cv: Vertex) -> dict[Hashable, tuple[int, ...]]:
-        sub_rng = Random(_derive_seed(seed, "column", vertex_rank(cv, base)))
-        return solve_complete(spec.t, columns[cv].demands, sub_rng)
-
-    def run_layer(sp: SubproblemLayer) -> Routing:
-        sub = DemandGraph(base, tuple(sp.demands), q)
-        return _solve_rec(sub, _derive_seed(seed, "layer", sp.k), 1, shuffle_factors, diagnostics)
-
-    if jobs > 1 and len(column_order) + len(layer_order) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            col_futures = {cv: pool.submit(run_column, cv) for cv in column_order}
-            layer_futures = {sp.k: pool.submit(run_layer, sp) for sp in layer_order}
-            column_trails = {cv: f.result() for cv, f in col_futures.items()}
-            layer_routes = {k: f.result() for k, f in layer_futures.items()}
-    else:
-        column_trails = {cv: run_column(cv) for cv in column_order}
-        layer_routes = {sp.k: run_layer(sp) for sp in layer_order}
-
-    middle_of: dict[int, Trail] = {}
-    for sp in layer_order:
-        for did, tr in layer_routes[sp.k].items():
-            middle_of[did] = lift_trail(tr, sp.k, spec.t)
-
-    def column_piece(cv: Vertex, key: ColumnKey) -> Trail:
-        verts = column_trails[cv][key]
-        return Trail(tuple(cv + (x,) for x in verts))
-
-    routing: Routing = {}
-    for d in dg.edges:
-        rw = rewrites.get(d.id)
-        if rw is None:
-            routing[d.id] = _oriented(column_piece(column_of(d.u), (d.id, "d")), d.u)
-        else:
-            head = (
-                column_piece(column_of(d.u), (d.id, "u"))
-                if rw.connector_u is not None
-                else Trail.single(d.u)
-            )
-            tail = (
-                column_piece(column_of(d.v), (d.id, "v"))
-                if rw.connector_v is not None
-                else Trail.single(d.v)
-            )
-            routing[d.id] = stitch(rw, (head, tail), middle_of[d.id])
-    return routing
+    # Column c's vertex x is grid rank c*t + x; layer k's vertex c is c*t + k.
+    trails: dict[int, Sequence[int]] = {}
+    for key, u, _ in intra:
+        c = u // t
+        trails[key] = [c * t + x for x in column_trails[c][key]]
+    for eid, (key, u, v) in enumerate(cross):
+        k = assignment.edge_layer[eid]
+        cu, cv = u // t, v // t
+        trail = [u] if u % t == k else [cu * t + x for x in column_trails[cu][key]]
+        trail += [c * t + k for c in layer_trails[k][key][1:]]
+        if v % t != k:
+            trail += [cv * t + x for x in column_trails[cv][key][1:]]
+        trails[key] = trail
+    return trails

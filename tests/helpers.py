@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
-from gridpair import DemandGraph, GridSpec, Multigraph, Trail
+from gridpair import DemandGraph, GridSpec, Multigraph, Trail, vertex_rank
 
 
 def random_regular_multigraph(num_vertices: int, degree: int, rng: Random) -> Multigraph:
@@ -26,3 +26,8 @@ def demand_graph_from_int_pairs(t: int, pairs: list[tuple[int, int]]) -> DemandG
     from gridpair import from_pairing
 
     return from_pairing(spec, [((x,), (y,)) for x, y in pairs])
+
+
+def rank_demands(dg: DemandGraph) -> list[tuple[int, int, int]]:
+    """The router's (id, u rank, v rank) form of a demand graph."""
+    return [(d.id, vertex_rank(d.u, dg.spec), vertex_rank(d.v, dg.spec)) for d in dg.edges]

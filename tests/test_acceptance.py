@@ -4,14 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 happen; without -s they appear in captured output on failure.
 """
 
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import gridpair
 from gridpair import (
     DemandEdge,
     DemandGraph,
@@ -233,12 +236,17 @@ def test_criterion_9_jobs_determinism(tmp_path):
     out_a = tmp_path / "a.txt"
     out_b = tmp_path / "b.txt"
     assert cli_main(["gen", "18", "2", "--mode", "pairing", "--seed", "11", "-o", str(inst)]) == 0
+    # the child processes import the same gridpair as this test run
+    src = str(Path(gridpair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     for out, jobs in ((out_a, "1"), (out_b, "4")):
         proc = subprocess.run(
             [sys.executable, "-m", "gridpair", "route", str(inst), str(out),
              "--seed", "5", "--jobs", jobs],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
     identical = out_a.read_bytes() == out_b.read_bytes()

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpair import (
-    AuxEdge,
-    AuxGraph,
-    DemandEdge,
     GridSpec,
+    Multigraph,
     choose_q,
     from_pairing,
     project,
@@ -19,6 +17,7 @@ from gridpair import (
     split_demands,
 )
 from gridpair.errors import InfeasibleBudgetError
+from helpers import rank_demands
 
 
 def test_from_pairing_single_pair():
@@ -58,16 +57,14 @@ def test_choose_q_rounds_odd_up_and_respects_cap():
 
 
 def test_split_demands_examples():
-    spec = GridSpec(3, 2)
-    dg = from_pairing(spec, [((0, 1), (0, 2)), ((0, 1), (1, 1))])
-    intra, cross = split_demands(dg)
-    assert [d.id for d in intra] == [0]
-    assert [d.id for d in cross] == [1]
+    # K_3^2: (0, 1) -- (0, 2) stays in column 0; (0, 1) -- (1, 1) crosses to column 1
+    intra, cross = split_demands([(0, 1, 2), (1, 1, 4)], 3)
+    assert intra == [(0, 1, 2)]
+    assert cross == [(1, 1, 4)]
 
 
 def test_split_demands_n1_is_all_intra():
-    dg = from_pairing(GridSpec(4, 1), [((0,), (1,)), ((2,), (3,))])
-    intra, cross = split_demands(dg)
+    intra, cross = split_demands([(0, 0, 1), (1, 2, 3)], 4)
     assert len(intra) == 2 and not cross
 
 
@@ -76,86 +73,70 @@ def test_split_demands_n1_is_all_intra():
 def test_split_is_a_partition(seed):
     spec = GridSpec(4, 2)
     rng = Random(seed)
-    dg = from_pairing(spec, random_pairing(spec, rng))
-    intra, cross = split_demands(dg)
-    assert len(intra) + len(cross) == len(dg.edges)
-    assert Counter(d.id for d in intra + cross) == Counter(d.id for d in dg.edges)
+    demands = rank_demands(from_pairing(spec, random_pairing(spec, rng)))
+    intra, cross = split_demands(demands, spec.t)
+    assert sorted(intra + cross) == sorted(demands)
+    assert all(u // 4 == v // 4 for _, u, v in intra)
+    assert all(u // 4 != v // 4 for _, u, v in cross)
 
 
 def test_project_example():
-    spec = GridSpec(4, 3)
-    d = DemandEdge(7, (0, 1, 0), (2, 3, 1))
-    aux = project([d], spec)
-    assert aux.base == GridSpec(4, 2)
-    assert aux.edges == (AuxEdge((0, 1), (2, 3), 7),)
+    # K_4^3: (0, 1, 0) has rank 4, (2, 3, 1) rank 45; their columns (0, 1) and (2, 3)
+    # are ranks 1 and 11 of K_4^2
+    g = project([(7, 4, 45)], 4, 3)
+    assert g == Multigraph(16, ((1, 11),))
 
 
 def test_project_keeps_parallel_edges():
-    spec = GridSpec(3, 2)
-    ds = [DemandEdge(0, (0, 0), (1, 1)), DemandEdge(1, (0, 2), (1, 0))]
-    aux = project(ds, spec)
-    assert len(aux.edges) == 2
-    assert {e.origin for e in aux.edges} == {0, 1}
-    assert all({e.a, e.b} == {(0,), (1,)} for e in aux.edges)
+    # K_3^2: (0, 0) -- (1, 1) and (0, 2) -- (1, 0) both join columns 0 and 1
+    g = project([(0, 0, 4), (1, 2, 3)], 3, 2)
+    assert g.edges == ((0, 1), (0, 1))
 
 
 def test_project_rejects_intra_column_demand():
-    spec = GridSpec(3, 2)
     with pytest.raises(ValueError):
-        project([DemandEdge(0, (0, 0), (0, 1))], spec)
+        project([(0, 0, 1)], 3, 2)
 
 
 def test_projection_degree_stays_under_t_times_q():
     spec = GridSpec(18, 2)
     for seed in range(100):
         dg = from_pairing(spec, random_pairing(spec, Random(seed)))
-        _, cross = split_demands(dg)
-        aux = project(cross, spec)
-        assert len(aux.edges) == len(cross)
-        assert aux.max_degree <= spec.t * 2  # q = 2 for a perfect pairing
+        _, cross = split_demands(rank_demands(dg), spec.t)
+        g = project(cross, spec.t, spec.n)
+        assert len(g.edges) == len(cross)
+        assert max(g.degrees()) <= spec.t * 2  # q = 2 for a perfect pairing
 
 
 def test_regularize_identity_when_already_regular():
-    base = GridSpec(2, 1)
-    aux = AuxGraph(base, (AuxEdge((0,), (1,), 0), AuxEdge((0,), (1,), 1)))
-    out = regularize(aux, 2)
-    assert out.edges == aux.edges
+    g = Multigraph(2, ((0, 1), (0, 1)))
+    assert regularize(g, 2) == g
 
 
 def test_regularize_balances_two_deficient_vertices():
-    base = GridSpec(3, 1)
-    # degrees: (0,)=2, (1,)=1, (2,)=1 against target 2
-    aux = AuxGraph(base, (AuxEdge((0,), (1,), 0), AuxEdge((0,), (2,), 1)))
-    out = regularize(aux, 2)
-    deg = out.degrees()
-    assert all(deg[v] == 2 for v in base.vertices())
-    dummies = [e for e in out.edges if e.is_dummy]
-    assert dummies == [AuxEdge((1,), (2,))]
+    # degrees: 0 -> 2, 1 -> 1, 2 -> 1 against target 2
+    out = regularize(Multigraph(3, ((0, 1), (0, 2))), 2)
+    assert out.degrees() == [2, 2, 2]
+    assert out.edges[2:] == ((1, 2),)
 
 
 def test_regularize_pads_lone_vertex_with_loops():
-    base = GridSpec(2, 1)
-    aux = AuxGraph(base, (AuxEdge((0,), (1,), 0),))
-    out = regularize(aux, 5 * 2)  # deficiency 9 on each: pair 9 edges... use even target
-    deg = out.degrees()
-    assert all(deg[v] == 10 for v in base.vertices())
+    # 0 and 1 are full at 2; vertex 2 alone is short by 2 and gets one loop
+    out = regularize(Multigraph(3, ((0, 1), (0, 1))), 2)
+    assert out.edges[2:] == ((2, 2),)
+    assert out.degrees() == [2, 2, 2]
 
 
 def test_regularize_loops_only_case():
-    base = GridSpec(2, 1)
-    # (0,) already full at 4; (1,) deficient by 4 -> two dummy loops
-    aux = AuxGraph(base, tuple(AuxEdge((0,), (0,)) for _ in range(2)))
-    out = regularize(aux, 4)
-    added = out.edges[2:]
-    assert added == (AuxEdge((1,), (1,)), AuxEdge((1,), (1,)))
-    assert all(d == 4 for d in out.degrees().values())
+    # 0 already full at 4; 1 deficient by 4 -> two dummy loops
+    out = regularize(Multigraph(2, ((0, 0), (0, 0))), 4)
+    assert out.edges[2:] == ((1, 1), (1, 1))
+    assert out.degrees() == [4, 4]
 
 
 def test_regularize_rejects_overfull_vertex():
-    base = GridSpec(2, 1)
-    aux = AuxGraph(base, tuple(AuxEdge((0,), (1,), i) for i in range(3)))
     with pytest.raises(ValueError):
-        regularize(aux, 2)
+        regularize(Multigraph(2, ((0, 1),) * 3), 2)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -165,14 +146,13 @@ def test_regularize_property(seed, half_q):
     spec = GridSpec(6, 2)
     rng = Random(seed)
     dg = from_pairing(spec, random_demand_multigraph(spec, q, rng))
-    _, cross = split_demands(dg)
-    aux = project(cross, spec)
+    _, cross = split_demands(rank_demands(dg), spec.t)
+    g = project(cross, spec.t, spec.n)
     target = spec.t * q
-    out = regularize(aux, target)
-    deg = out.degrees()
-    assert all(deg[v] == target for v in out.base.vertices())
-    assert [e for e in out.edges if not e.is_dummy] == list(aux.edges)
-    assert all(e.a != e.b or e.is_dummy for e in out.edges)
+    out = regularize(g, target)
+    assert out.degrees() == [target] * spec.t
+    assert out.edges[: len(g.edges)] == g.edges
+    assert all(a != b for a, b in g.edges)
 
 
 def test_random_pairing_covers_every_vertex_once():

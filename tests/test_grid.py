@@ -13,7 +13,6 @@ from gridpair import (
     edges,
     is_grid_edge,
     layer_of,
-    lift_trail,
     vertex_from_rank,
     vertex_rank,
 )
@@ -115,13 +114,13 @@ def test_edge_rank_rejects_non_edges():
 
 
 def test_lift_trail_examples():
-    assert lift_trail(Trail(((0,), (1,))), 2, 3) == Trail(((0, 2), (1, 2)))
-    assert lift_trail(Trail(((1, 1),)), 0, 3) == Trail(((1, 1, 0),))
-    assert lift_trail(Trail(((0, 0), (0, 1), (2, 1))), 1, 3) == Trail(
-        ((0, 0, 1), (0, 1, 1), (2, 1, 1))
-    )
-    with pytest.raises(ValueError):
-        lift_trail(Trail(((0,),)), 3, 3)
+    # The router lifts by rank: vertex c of a layer grid is c*t + k in layer k,
+    # and vertex x of column c is c*t + x.
+    t = 3
+    assert [vertex_from_rank(c * t + 2, GridSpec(t, 2)) for c in (0, 1)] == [(0, 2), (1, 2)]
+    c = vertex_rank((1, 1), GridSpec(t, 2))
+    assert vertex_from_rank(c * t + 0, GridSpec(t, 3)) == (1, 1, 0)
+    assert [vertex_from_rank(c * t + x, GridSpec(t, 3)) for x in (2, 0)] == [(1, 1, 2), (1, 1, 0)]
 
 
 @given(st.integers(2, 5), st.integers(0, 4))
@@ -129,10 +128,10 @@ def test_lifted_trails_stay_in_their_layer(t, k):
     if k >= t:
         k = t - 1
     spec = GridSpec(t, 2)
-    trail = Trail(tuple((x,) for x in range(t)))
-    lifted = lift_trail(trail, k, t)
+    lifted = Trail(tuple(vertex_from_rank(c * t + k, spec) for c in range(t)))
     lifted.validate(spec)
     assert all(layer_of(v) == k for v in lifted.vertices)
+    assert [v[:-1] for v in lifted.vertices] == [(c,) for c in range(t)]
 
 
 def test_trail_validate_catches_bad_steps():

@@ -17,7 +17,7 @@ from gridpair import (
     solve,
 )
 from gridpair.cli import main
-from gridpair.errors import FormatError
+from gridpair.errors import ClaimViolationError, FormatError
 
 
 def test_instance_roundtrip_simple():
@@ -125,6 +125,20 @@ def test_route_exit_3_when_instance_is_unroutable(tmp_path):
     out = tmp_path / "routing.txt"
     assert main(["route", str(inst), str(out), "--unchecked"]) == 3
     assert not out.exists()
+
+
+def test_claim_violation_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken_solve(*args, **kwargs):
+        raise ClaimViolationError("i", "layer 0 reaches demand degree 3 > q=2")
+
+    monkeypatch.setattr("gridpair.cli.solve", broken_solve)
+    inst = tmp_path / "inst.txt"
+    assert main(["gen", "18", "1", "--seed", "1", "-o", str(inst)]) == 0
+    assert main(["route", str(inst), str(tmp_path / "routing.txt")]) == 4
+    assert main(["bench", "18", "1", "--seeds", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error: claim i: layer 0") == 2
+    assert "Traceback" not in err
 
 
 def test_verify_detects_tampered_endpoint(tmp_path, capsys):

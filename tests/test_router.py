@@ -13,95 +13,78 @@ from gridpair import (
     Trail,
     build_subproblems,
     from_pairing,
+    group_factors,
     oracle_solve,
     project,
     random_demand_multigraph,
     random_pairing,
-    rewrite,
+    regularize,
     shorten_trail,
     solve,
     solve_complete,
     split_demands,
-    stitch,
+    two_factorization,
     verify,
 )
 from gridpair.errors import BaseSolverExhaustedError, ClaimViolationError
-from gridpair.router import RewrittenDemand
 from helpers import wrap_complete_routing
 
 
+def _through_layer(u: int, v: int, k: int):
+    """Layer and column subproblems of one cross demand of K_10^2 routed through layer k."""
+    return build_subproblems([], [(0, u, v)], LayerAssignment(edge_layer={0: k}, t=10, q=2), 2)
+
+
 def test_rewrite_general_case():
-    d = DemandEdge(0, (5, 1), (9, 3))
-    rw = rewrite(d, 2)
-    assert rw.connector_u == DemandEdge(0, (5, 1), (5, 2))
-    assert rw.middle == DemandEdge(0, (5, 2), (9, 2))
-    assert rw.connector_v == DemandEdge(0, (9, 2), (9, 3))
+    # (5, 1) -- (9, 3) through layer 2: column hop, layer crossing, column hop
+    layers, columns = _through_layer(51, 93, 2)
+    assert layers[2] == [(0, 5, 9)]
+    assert columns == {5: [(0, 1, 2)], 9: [(0, 2, 3)]}
 
 
 def test_rewrite_degenerate_u_side():
-    rw = rewrite(DemandEdge(0, (5, 2), (9, 3)), 2)
-    assert rw.connector_u is None
-    assert rw.middle == DemandEdge(0, (5, 2), (9, 2))
-    assert rw.connector_v == DemandEdge(0, (9, 2), (9, 3))
+    layers, columns = _through_layer(52, 93, 2)
+    assert layers[2] == [(0, 5, 9)]
+    assert columns == {9: [(0, 2, 3)]}
 
 
 def test_rewrite_both_endpoints_in_layer():
-    rw = rewrite(DemandEdge(0, (5, 2), (9, 2)), 2)
-    assert rw.connector_u is None and rw.connector_v is None
-    assert rw.middle == DemandEdge(0, (5, 2), (9, 2))
-
-
-def test_rewrite_rejects_intra_column():
-    with pytest.raises(ValueError):
-        rewrite(DemandEdge(0, (5, 1), (5, 3)), 2)
-
-
-def _single_cross_setup(k: int):
-    spec = GridSpec(4, 2)
-    dg = from_pairing(spec, [((0, 1), (1, 3))]).with_budget(2)
-    _, cross = split_demands(dg)
-    aux = project(cross, spec)
-    assignment = LayerAssignment(edge_layer={0: k}, t=spec.t, q=2)
-    return dg, assignment, aux
+    layers, columns = _through_layer(52, 92, 2)
+    assert layers[2] == [(0, 5, 9)]
+    assert columns == {}
 
 
 def test_build_subproblems_single_cross_demand():
-    dg, assignment, aux = _single_cross_setup(2)
-    layers, columns, rewrites = build_subproblems(dg, assignment, aux)
-    assert [len(sp.demands) for sp in layers] == [0, 0, 1, 0]
-    assert layers[2].demands[0] == DemandEdge(0, (0,), (1,))
-    assert sorted(columns) == [(0,), (1,)]
-    assert columns[(0,)].demands == [((0, "u"), 1, 2)]
-    assert columns[(1,)].demands == [((0, "v"), 2, 3)]
-    assert set(rewrites) == {0}
+    # K_4^2: (0, 1) -- (1, 3) are ranks 1 and 7
+    intra, cross = split_demands([(0, 1, 7)], 4)
+    assignment = LayerAssignment(edge_layer={0: 2}, t=4, q=2)
+    layers, columns = build_subproblems(intra, cross, assignment, 2)
+    assert [len(ds) for ds in layers] == [0, 0, 1, 0]
+    assert layers[2] == [(0, 0, 1)]
+    assert columns == {0: [(0, 1, 2)], 1: [(0, 2, 3)]}
 
 
 def test_build_subproblems_intra_column_only():
-    spec = GridSpec(4, 2)
-    dg = from_pairing(spec, [((2, 1), (2, 3))]).with_budget(2)
-    from gridpair import AuxGraph
-
-    layers, columns, rewrites = build_subproblems(
-        dg, LayerAssignment(edge_layer={}, t=4, q=2), AuxGraph(GridSpec(4, 1), ())
+    # K_4^2: (2, 1) -- (2, 3) are ranks 9 and 11
+    layers, columns = build_subproblems(
+        [(0, 9, 11)], [], LayerAssignment(edge_layer={}, t=4, q=2), 2
     )
-    assert all(not sp.demands for sp in layers)
-    assert list(columns) == [(2,)]
-    assert columns[(2,)].demands == [((0, "d"), 1, 3)]
-    assert not rewrites
+    assert all(not ds for ds in layers)
+    assert columns == {2: [(0, 1, 3)]}
 
 
 def test_build_subproblems_detects_claim_violation():
-    dg, _, aux = _single_cross_setup(2)
-    # malformed assignment puts parallel load beyond q by duplicating demands
-    spec = GridSpec(4, 2)
-    pairs = [((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 3), (1, 3))]
-    dg = from_pairing(spec, pairs).with_budget(2)
-    _, cross = split_demands(dg)
-    aux = project(cross, spec)
+    # a malformed assignment puts three parallel crossings 0 -- 1 into layer 0
+    cross = [(0, 1, 5), (1, 2, 6), (2, 3, 7)]
     bad = LayerAssignment(edge_layer={0: 0, 1: 0, 2: 0}, t=4, q=2)
     with pytest.raises(ClaimViolationError) as err:
-        build_subproblems(dg, bad, aux)
+        build_subproblems([], cross, bad, 2)
     assert err.value.claim == "i"
+    # five demands at vertex 0 of column 0 exceed 2q = 4
+    intra = [(i, 0, 1 + i % 3) for i in range(5)]
+    with pytest.raises(ClaimViolationError) as err:
+        build_subproblems(intra, [], LayerAssignment(edge_layer={}, t=4, q=2), 2)
+    assert err.value.claim == "ii"
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -156,40 +139,26 @@ def test_solve_complete_k18_degree_4_sample():
         assert verify(spec, dg, wrap_complete_routing(out)).ok
 
 
+def _layer_of_crossing(cu: int, cv: int) -> int:
+    """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
+    host = regularize(project([(0, cu * 18, cv * 18)], 18, 2), 36)
+    return group_factors(two_factorization(host, 18), 2, 18).edge_layer[0]
+
+
+def _route_one(u, v) -> Trail:
+    return solve(DemandGraph(GridSpec(18, 2), (DemandEdge(0, u, v),)))[0]
+
+
 def test_stitch_degenerate_connectors():
-    rw = RewrittenDemand(0, None, DemandEdge(0, (5, 2), (9, 2)), None)
-    middle = Trail(((5, 2), (7, 2), (9, 2)))
-    out = stitch(rw, (Trail.single((5, 2)), Trail.single((9, 2))), middle)
-    assert out == middle
+    k = _layer_of_crossing(5, 9)
+    assert _route_one((5, k), (9, k)) == Trail(((5, k), (9, k)))
 
 
 def test_stitch_concatenates_and_orients():
-    rw = RewrittenDemand(
-        0,
-        DemandEdge(0, (5, 1), (5, 2)),
-        DemandEdge(0, (5, 2), (9, 2)),
-        DemandEdge(0, (9, 2), (9, 3)),
-    )
-    head = Trail(((5, 1), (5, 2)))
-    middle = Trail(((9, 2), (5, 2)))  # reversed on purpose
-    tail = Trail(((9, 3), (9, 2)))  # reversed on purpose
-    out = stitch(rw, (head, tail), middle)
-    assert out == Trail(((5, 1), (5, 2), (9, 2), (9, 3)))
-
-
-def test_stitch_rejects_mismatched_pieces():
-    rw = RewrittenDemand(
-        0,
-        DemandEdge(0, (5, 1), (5, 2)),
-        DemandEdge(0, (5, 2), (9, 2)),
-        DemandEdge(0, (9, 2), (9, 3)),
-    )
-    with pytest.raises(ValueError):
-        stitch(
-            rw,
-            (Trail(((5, 1), (5, 0))), Trail(((9, 2), (9, 3)))),
-            Trail(((5, 2), (9, 2))),
-        )
+    for cu, cv in ((5, 9), (9, 5)):
+        k = _layer_of_crossing(cu, cv)
+        i, j = (k + 1) % 18, (k + 3) % 18
+        assert _route_one((cu, i), (cv, j)) == Trail(((cu, i), (cu, k), (cv, k), (cv, j)))
 
 
 def test_solve_empty_demands():
@@ -255,15 +224,6 @@ def test_solve_unchecked_never_reports_an_invalid_routing():
         except BaseSolverExhaustedError:
             continue
         assert verify(spec, dg, routing).ok
-
-
-def test_solve_with_shuffled_factor_grouping():
-    spec = GridSpec(18, 2)
-    dg = from_pairing(spec, random_pairing(spec, Random(14)))
-    a = solve(dg, seed=14, shuffle_factors=True)
-    b = solve(dg, seed=14, shuffle_factors=True)
-    assert a == b  # shuffle is driven by the run seed
-    assert verify(spec, dg, a).ok
 
 
 def test_solve_accepts_non_contiguous_demand_ids():
