@@ -55,9 +55,10 @@ def build_subproblems(
     cross[i] crosses in layer k = assignment.edge_layer[i] as (key, column of
     u, column of v) on K_t^(n-1). Its connectors join the columns of u and v
     as (key, u % t, k) and (key, k, v % t); a connector vanishes when its
-    endpoint already lies in layer k. Intra-column demands join their column
-    as (key, u % t, v % t). Columns are keyed by column rank, and a key
-    occurs at most once per column. Degree bounds are asserted here: a layer
+    endpoint already lies in layer k; a cross demand inside one column raises
+    ValueError. Intra-column demands join their column as (key, u % t,
+    v % t). Columns are keyed by column rank, and a key occurs at most once
+    per column. Degree bounds are asserted here: a layer
     above q or a column above 2q raises ClaimViolationError, which always
     means an upstream bug.
     """
@@ -71,6 +72,8 @@ def build_subproblems(
         k = assignment.edge_layer[eid]
         cu, i = divmod(u, t)
         cv, j = divmod(v, t)
+        if cu == cv:
+            raise ValueError(f"demand {key} lies inside column {cu}; it is not a cross demand")
         top_u, top_v = cu * t + k, cv * t + k
         layers[k].append((key, cu, cv))
         layer_ends += (top_u, top_v)

@@ -54,6 +54,12 @@ def test_rewrite_both_endpoints_in_layer():
     assert columns == {}
 
 
+def test_rewrite_rejects_intra_column():
+    # (5, 1) -- (5, 3) stays in column 5, so it cannot cross through a layer
+    with pytest.raises(ValueError):
+        _through_layer(51, 53, 2)
+
+
 def test_build_subproblems_single_cross_demand():
     # K_4^2: (0, 1) -- (1, 3) are ranks 1 and 7
     intra, cross = split_demands([(0, 1, 7)], 4)
