@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -202,3 +203,26 @@ def test_grouped_layers_respect_degree_budget(seed, q, t):
         deg[v] += 1
     for deg in per_layer_deg.values():
         assert max(deg.values()) <= q
+
+
+# (vertices, k, seed): 2k-regular configuration-model graphs. k = 3 and 9 peel
+# a matching first; k = 6 and the even remainders split along Euler circuits.
+FACTOR_GOLDEN = {
+    (18, 3, 1): "e532264dec4b86734211f2093b180446ef0919051aa98f0fcc3385976b546185",
+    (30, 6, 2): "a309f1ee06489fd0c37571dafb8d268b221a765c1bb2eaf909699f0bb441505f",
+    (36, 9, 3): "bf4de12fbbbb8f3fff97615dbf473fba680eca2de2edc4c7cf6695721cd3ef3e",
+    (7, 9, 4): "6f77299300a767ad047e9d482b064f5e49e81cf91ea9c3eb249ac4545aa8aaed",
+    (55, 6, 5): "aff15e31b738e869f3d98e2cd11d7e03420d1bae7909ab98a2798fd82d4d3a9d",
+}
+
+
+def factor_digest(factors) -> str:
+    """sha256 of the factors' edge ids, one comma-joined factor per ';' field."""
+    body = ";".join(",".join(map(str, f.edge_ids)) for f in factors)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("nv, k, seed", sorted(FACTOR_GOLDEN))
+def test_two_factorization_golden(nv, k, seed):
+    g = random_regular_multigraph(nv, 2 * k, Random(seed))
+    assert factor_digest(two_factorization(g, k)) == FACTOR_GOLDEN[nv, k, seed]
