@@ -35,81 +35,46 @@ class Multigraph:
         return deg
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Per-edge direction assignment with in-degree = out-degree everywhere."""
+def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Tail of every edge when each component is walked along Euler circuits.
 
-    arcs: tuple[tuple[int, int], ...]
-
-    def out_degrees(self, num_vertices: int) -> list[int]:
-        out = [0] * num_vertices
-        for tail, _ in self.arcs:
-            out[tail] += 1
-        return out
-
-    def in_degrees(self, num_vertices: int) -> list[int]:
-        inc = [0] * num_vertices
-        for _, head in self.arcs:
-            inc[head] += 1
-        return inc
-
-
-@dataclass(frozen=True)
-class TwoFactor:
-    """Edge ids of a spanning 2-regular subgraph."""
-
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LayerAssignment:
-    """Layer index per host-graph edge id; q/2 consecutive factors feed each layer."""
-
-    edge_layer: dict[int, int]
-    t: int
-    q: int
-
-
-def euler_orient(g: Multigraph) -> Orientation:
-    """Orient every edge along per-component Euler circuits.
-
-    Each maximal closed walk is oriented cyclically, so in-degree equals
-    out-degree at every vertex. A loop counts once in and once out.
+    The head of edge i is its other endpoint. Each maximal closed walk is
+    oriented cyclically, so in-degree equals out-degree at every vertex. A
+    loop counts once in and once out.
     """
-    deg = g.degrees()
+    if not all(0 <= u < num_vertices and 0 <= v < num_vertices for u, v in edges):
+        raise ValueError("edge endpoint outside vertex range")
+    deg = [0] * num_vertices
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for eid, (u, v) in enumerate(edges):
+        deg[u] += 1
+        deg[v] += 1  # a loop adds 2 at its vertex
+        adj[u].append(eid)
+        if u != v:
+            adj[v].append(eid)
     odd = [v for v, d in enumerate(deg) if d % 2]
     if odd:
         raise ValueError(f"Euler orientation needs even degrees; odd at {odd[:5]}")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid, (u, v) in enumerate(g.edges):
-        adj[u].append((eid, v))
-        if u != v:
-            adj[v].append((eid, u))
-    arcs: list[tuple[int, int] | None] = [None] * len(g.edges)
-    used = bytearray(len(g.edges))
-    ptr = [0] * g.num_vertices
-    for start in range(g.num_vertices):
+    tails = [-1] * len(edges)
+    unread = [iter(lst) for lst in adj]  # each vertex's edges, consumed in order
+    for start in range(num_vertices):
         stack = [start]
         while stack:
             v = stack[-1]
-            lst = adj[v]
-            i = ptr[v]
-            while i < len(lst) and used[lst[i][0]]:
-                i += 1
-            ptr[v] = i
-            if i == len(lst):
-                stack.pop()
+            for eid in unread[v]:
+                if tails[eid] < 0:
+                    tails[eid] = v
+                    a, b = edges[eid]
+                    stack.append(b if a == v else a)
+                    break
             else:
-                eid, w = lst[i]
-                used[eid] = 1
-                arcs[eid] = (v, w)
-                stack.append(w)
-    assert all(a is not None for a in arcs), "walks must exhaust every edge"
-    return Orientation(tuple(arcs))  # type: ignore[arg-type]
+                stack.pop()
+    assert -1 not in tails, "walks must exhaust every edge"
+    return tails
 
 
-def two_factorization(g: Multigraph, k: int) -> list[TwoFactor]:
-    """Decompose a 2k-regular multigraph into k edge-disjoint spanning 2-factors."""
+def two_factorization(g: Multigraph, k: int) -> list[list[int]]:
+    """Decompose a 2k-regular multigraph into k spanning 2-factors, as sorted edge ids."""
     if k < 1:
         raise ValueError(f"factor count must be >= 1, got {k}")
     deg = g.degrees()
@@ -118,13 +83,13 @@ def two_factorization(g: Multigraph, k: int) -> list[TwoFactor]:
         raise ValueError(
             f"graph is not {2 * k}-regular: vertex {bad[0]} has degree {deg[bad[0]]}"
         )
-    orientation = euler_orient(g)
-    # Arc (u, v) becomes a bipartite edge between u's out-copy and v's in-copy;
-    # a perfect matching picks one out-arc and one in-arc per vertex: degree 2.
-    matchings = bipartite_matching_decomposition(
-        g.num_vertices, g.num_vertices, orientation.arcs, k
-    )
-    return [TwoFactor(tuple(sorted(m))) for m in matchings]
+    tails = euler_orient(g.num_vertices, g.edges)
+    # Arc tail -> head becomes a bipartite edge between the tail's out-copy and
+    # the head's in-copy; a perfect matching picks one out-arc and one in-arc
+    # per vertex: degree 2.
+    arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, g.edges)]
+    matchings = bipartite_matching_decomposition(g.num_vertices, g.num_vertices, arcs, k)
+    return [sorted(m) for m in matchings]
 
 
 def bipartite_matching_decomposition(
@@ -163,7 +128,13 @@ def _decompose(
     if k == 1:
         return [idxs]
     if k % 2 == 0:
-        forward, backward = _euler_split(num_left, num_right, edges, idxs)
+        # Orient the cover's Euler circuits; left-to-right arcs form one
+        # (k/2)-regular half, right-to-left arcs the other.
+        tails = euler_orient(
+            num_left + num_right, [(edges[i][0], num_left + edges[i][1]) for i in idxs]
+        )
+        forward = [i for i, tail in zip(idxs, tails) if tail < num_left]
+        backward = [i for i, tail in zip(idxs, tails) if tail >= num_left]
         return _decompose(num_left, num_right, edges, forward, k // 2) + _decompose(
             num_left, num_right, edges, backward, k // 2
         )
@@ -171,23 +142,6 @@ def _decompose(
     taken = set(matching)
     rest = [i for i in idxs if i not in taken]
     return [matching] + _decompose(num_left, num_right, edges, rest, k - 1)
-
-
-def _euler_split(
-    num_left: int,
-    num_right: int,
-    edges: Sequence[tuple[int, int]],
-    idxs: list[int],
-) -> tuple[list[int], list[int]]:
-    """Orient Euler circuits and split edges by direction into two half-regular parts."""
-    sub = Multigraph(
-        num_left + num_right,
-        tuple((edges[i][0], num_left + edges[i][1]) for i in idxs),
-    )
-    orientation = euler_orient(sub)
-    forward = [i for i, (tail, _) in zip(idxs, orientation.arcs) if tail < num_left]
-    backward = [i for i, (tail, _) in zip(idxs, orientation.arcs) if tail >= num_left]
-    return forward, backward
 
 
 def _peel_matching(
@@ -247,9 +201,10 @@ def _peel_matching(
     return sorted(match_l)
 
 
-def group_factors(factors: Sequence[TwoFactor], q: int, t: int) -> LayerAssignment:
-    """Assign q/2 consecutive factors to each of the t layers.
+def group_factors(factors: Sequence[Sequence[int]], q: int, t: int) -> list[int]:
+    """Layer of every edge id when q/2 consecutive factors feed each of the t layers.
 
+    The factors partition the edge ids 0..m-1; factor i goes to layer i // (q/2).
     Each factor contributes at most 2 to any vertex degree, so every layer's
     subgraph has maximum degree at most q.
     """
@@ -259,9 +214,9 @@ def group_factors(factors: Sequence[TwoFactor], q: int, t: int) -> LayerAssignme
     if len(factors) != expected:
         raise ValueError(f"expected {expected} factors for t={t}, q={q}, got {len(factors)}")
     per_layer = q // 2
-    edge_layer: dict[int, int] = {}
+    edge_layer = [0] * sum(map(len, factors))
     for pos, factor in enumerate(factors):
         layer = pos // per_layer
-        for eid in factor.edge_ids:
+        for eid in factor:
             edge_layer[eid] = layer
-    return LayerAssignment(edge_layer=edge_layer, t=t, q=q)
+    return edge_layer

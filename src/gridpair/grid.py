@@ -141,10 +141,6 @@ class Trail:
         if not self.vertices:
             raise ValueError("a trail contains at least one vertex")
 
-    @classmethod
-    def single(cls, v: Vertex) -> Trail:
-        return cls((v,))
-
     @property
     def length(self) -> int:
         """Number of edges."""
@@ -156,9 +152,6 @@ class Trail:
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         return list(zip(self.vertices, self.vertices[1:]))
-
-    def reverse(self) -> Trail:
-        return Trail(tuple(reversed(self.vertices)))
 
     def validate(self, spec: GridSpec) -> None:
         """Raise unless every step is a grid edge and no edge repeats."""

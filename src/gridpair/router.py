@@ -21,7 +21,7 @@ from typing import Hashable, Sequence
 
 from .demand import DemandGraph, RankDemand, choose_q, project, regularize, split_demands
 from .errors import BaseSolverExhaustedError, ClaimViolationError, InfeasibleBudgetError
-from .factorization import LayerAssignment, group_factors, two_factorization
+from .factorization import group_factors, two_factorization
 from .grid import Trail, Vertex, vertex_from_rank, vertex_rank
 
 Routing = dict[int, Trail]
@@ -39,21 +39,20 @@ class RouteDiagnostics:
     ) -> None:
         self.records.append((n, layer_max, layer_bound, column_max, column_bound))
 
-    def all_within_bounds(self) -> bool:
-        return all(lm <= lb and cm <= cb for _, lm, lb, cm, cb in self.records)
-
 
 def build_subproblems(
     intra: Sequence[RankDemand],
     cross: Sequence[RankDemand],
-    assignment: LayerAssignment,
+    edge_layer: Sequence[int],
+    t: int,
+    q: int,
     n: int,
     diagnostics: RouteDiagnostics | None = None,
 ) -> tuple[list[list[RankDemand]], dict[int, list[RankDemand]]]:
     """Distribute the demands of K_t^n into t layer and per-column subproblems.
 
-    cross[i] crosses in layer k = assignment.edge_layer[i] as (key, column of
-    u, column of v) on K_t^(n-1). Its connectors join the columns of u and v
+    cross[i] crosses in layer k = edge_layer[i] as (key, column of u, column
+    of v) on K_t^(n-1). Its connectors join the columns of u and v
     as (key, u % t, k) and (key, k, v % t); a connector vanishes when its
     endpoint already lies in layer k; a cross demand inside one column raises
     ValueError. Intra-column demands join their column as (key, u % t,
@@ -62,14 +61,13 @@ def build_subproblems(
     above q or a column above 2q raises ClaimViolationError, which always
     means an upstream bug.
     """
-    t, q = assignment.t, assignment.q
     layers: list[list[RankDemand]] = [[] for _ in range(t)]
     columns: defaultdict[int, list[RankDemand]] = defaultdict(list)
     # Endpoints as grid ranks: layer k's vertex c is grid vertex c*t + k.
     layer_ends: list[int] = []
     column_ends: list[int] = []
     for eid, (key, u, v) in enumerate(cross):
-        k = assignment.edge_layer[eid]
+        k = edge_layer[eid]
         cu, i = divmod(u, t)
         cv, j = divmod(v, t)
         if cu == cv:
@@ -351,12 +349,11 @@ def _solve_rec(
         return solve_complete(t, demands, Random(_derive_seed(seed, "kt", 0)))
 
     intra, cross = split_demands(demands, t)
+    edge_layer: list[int] = []
     if cross:
         host = regularize(project(cross, t, n), t * q)
-        assignment = group_factors(two_factorization(host, t * q // 2), q, t)
-    else:
-        assignment = LayerAssignment(edge_layer={}, t=t, q=q)
-    layers, columns = build_subproblems(intra, cross, assignment, n, diagnostics)
+        edge_layer = group_factors(two_factorization(host, t * q // 2), q, t)
+    layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {
         c: solve_complete(t, ds, Random(_derive_seed(seed, "column", c)))
@@ -374,7 +371,7 @@ def _solve_rec(
         c = u // t
         trails[key] = [c * t + x for x in column_trails[c][key]]
     for eid, (key, u, v) in enumerate(cross):
-        k = assignment.edge_layer[eid]
+        k = edge_layer[eid]
         cu, cv = u // t, v // t
         trail = [u] if u % t == k else [cu * t + x for x in column_trails[cu][key]]
         trail += [c * t + k for c in layer_trails[k][key][1:]]

@@ -119,12 +119,12 @@ def test_criterion_3_two_factorization_suite():
         spent: list[int] = []
         for f in factors:
             deg = [0] * nv
-            for eid in f.edge_ids:
+            for eid in f:
                 u, v = g.edges[eid]
                 deg[u] += 1
                 deg[v] += 1
             assert deg == [2] * nv, "factor must be spanning and 2-regular"
-            spent.extend(f.edge_ids)
+            spent.extend(f)
         assert sorted(spent) == list(range(len(g.edges))), "factors must partition the edges"
         checked += 1
     _report(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridpair import (
     Multigraph,
-    TwoFactor,
     bipartite_matching_decomposition,
     euler_orient,
     group_factors,
@@ -18,67 +17,75 @@ from gridpair import (
 from helpers import random_regular_multigraph
 
 
-def factor_degrees(g: Multigraph, factor: TwoFactor) -> list[int]:
+def factor_degrees(g: Multigraph, factor: list[int]) -> list[int]:
     deg = [0] * g.num_vertices
-    for eid in factor.edge_ids:
+    for eid in factor:
         u, v = g.edges[eid]
         deg[u] += 1
         deg[v] += 1
     return deg
 
 
-def assert_valid_factorization(g: Multigraph, k: int, factors: list[TwoFactor]) -> None:
+def assert_valid_factorization(g: Multigraph, k: int, factors: list[list[int]]) -> None:
     assert len(factors) == k
     seen: list[int] = []
     for f in factors:
         assert all(d == 2 for d in factor_degrees(g, f))
-        seen.extend(f.edge_ids)
+        seen.extend(f)
     assert sorted(seen) == list(range(len(g.edges)))
+
+
+def out_in_degrees(g: Multigraph) -> tuple[list[int], list[int]]:
+    """Out- and in-degrees of g's edges as oriented by euler_orient."""
+    out, inc = [0] * g.num_vertices, [0] * g.num_vertices
+    for tail, (u, v) in zip(euler_orient(g.num_vertices, g.edges), g.edges):
+        assert tail in (u, v)
+        out[tail] += 1
+        inc[v if tail == u else u] += 1
+    return out, inc
 
 
 def test_euler_orient_triangle():
     g = Multigraph(3, ((0, 1), (1, 2), (2, 0)))
-    o = euler_orient(g)
-    assert o.in_degrees(3) == [1, 1, 1]
-    assert o.out_degrees(3) == [1, 1, 1]
+    assert out_in_degrees(g) == ([1, 1, 1], [1, 1, 1])
 
 
 def test_euler_orient_two_disjoint_cycles():
     g = Multigraph(8, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)))
-    o = euler_orient(g)
-    assert o.in_degrees(8) == [1] * 8
-    assert o.out_degrees(8) == [1] * 8
+    assert out_in_degrees(g) == ([1] * 8, [1] * 8)
 
 
 def test_euler_orient_double_loop():
     g = Multigraph(1, ((0, 0), (0, 0)))
-    o = euler_orient(g)
-    assert o.in_degrees(1) == [2]
-    assert o.out_degrees(1) == [2]
+    assert out_in_degrees(g) == ([2], [2])
 
 
 def test_euler_orient_rejects_odd_degree():
     with pytest.raises(ValueError):
-        euler_orient(Multigraph(2, ((0, 1),)))
+        euler_orient(2, ((0, 1),))
+
+
+def test_euler_orient_rejects_edges_outside_vertex_range():
+    for edges in (((0, 2), (2, 0)), ((0, -1), (-1, 0))):
+        with pytest.raises(ValueError):
+            euler_orient(2, edges)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_euler_orient_balances_random_even_graphs(seed, k, nv):
     g = random_regular_multigraph(nv, 2 * k, Random(seed))
-    o = euler_orient(g)
-    assert o.in_degrees(nv) == o.out_degrees(nv)
-    assert len(o.arcs) == len(g.edges)
-    assert Counter(tuple(sorted(a)) for a in o.arcs) == Counter(
-        tuple(sorted(e)) for e in g.edges
-    )
+    tails = euler_orient(nv, g.edges)
+    assert len(tails) == len(g.edges)
+    out, inc = out_in_degrees(g)
+    assert out == inc
 
 
 def test_two_factorization_identity_on_2_regular():
     g = Multigraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)))
     factors = two_factorization(g, 1)
     assert_valid_factorization(g, 1, factors)
-    assert factors[0].edge_ids == tuple(range(5))
+    assert factors[0] == list(range(5))
 
 
 def test_two_factorization_k5():
@@ -92,7 +99,7 @@ def test_two_factorization_loops_only():
     g = Multigraph(1, ((0, 0), (0, 0), (0, 0)))
     factors = two_factorization(g, 3)
     assert_valid_factorization(g, 3, factors)
-    assert all(len(f.edge_ids) == 1 for f in factors)
+    assert all(len(f) == 1 for f in factors)
 
 
 def test_two_factorization_rejects_irregular():
@@ -171,20 +178,21 @@ def test_matching_decomposition_property(seed, k, side):
 
 
 def test_group_factors_q2():
-    factors = [TwoFactor((0,)), TwoFactor((1,)), TwoFactor((2,))]
-    assignment = group_factors(factors, 2, 3)
-    assert assignment.edge_layer == {0: 0, 1: 1, 2: 2}
+    assert group_factors([[0], [1], [2]], 2, 3) == [0, 1, 2]
 
 
 def test_group_factors_q4_consecutive():
-    factors = [TwoFactor((i,)) for i in range(4)]
-    assignment = group_factors(factors, 4, 2)
-    assert assignment.edge_layer == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert group_factors([[i] for i in range(4)], 4, 2) == [0, 0, 1, 1]
 
 
 def test_group_factors_wrong_count():
     with pytest.raises(ValueError):
-        group_factors([TwoFactor((0,))], 2, 3)
+        group_factors([[0]], 2, 3)
+
+
+def test_group_factors_rejects_odd_budget():
+    with pytest.raises(ValueError):
+        group_factors([[0], [1], [2]], 3, 2)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), st.integers(2, 8))
@@ -194,9 +202,10 @@ def test_grouped_layers_respect_degree_budget(seed, q, t):
     nv = rng.randrange(1, 30)
     g = random_regular_multigraph(nv, t * q, rng)
     factors = two_factorization(g, t * q // 2)
-    assignment = group_factors(factors, q, t)
+    edge_layer = group_factors(factors, q, t)
+    assert len(edge_layer) == len(g.edges)
     per_layer_deg: dict[int, Counter] = {}
-    for eid, layer in assignment.edge_layer.items():
+    for eid, layer in enumerate(edge_layer):
         u, v = g.edges[eid]
         deg = per_layer_deg.setdefault(layer, Counter())
         deg[u] += 1
@@ -218,7 +227,7 @@ FACTOR_GOLDEN = {
 
 def factor_digest(factors) -> str:
     """sha256 of the factors' edge ids, one comma-joined factor per ';' field."""
-    body = ";".join(",".join(map(str, f.edge_ids)) for f in factors)
+    body = ";".join(",".join(map(str, f)) for f in factors)
     return hashlib.sha256(body.encode()).hexdigest()
 
 

@@ -8,7 +8,6 @@ from gridpair import (
     DemandEdge,
     DemandGraph,
     GridSpec,
-    LayerAssignment,
     RouteDiagnostics,
     Trail,
     build_subproblems,
@@ -32,7 +31,7 @@ from helpers import wrap_complete_routing
 
 def _through_layer(u: int, v: int, k: int):
     """Layer and column subproblems of one cross demand of K_10^2 routed through layer k."""
-    return build_subproblems([], [(0, u, v)], LayerAssignment(edge_layer={0: k}, t=10, q=2), 2)
+    return build_subproblems([], [(0, u, v)], [k], 10, 2, 2)
 
 
 def test_rewrite_general_case():
@@ -63,8 +62,7 @@ def test_rewrite_rejects_intra_column():
 def test_build_subproblems_single_cross_demand():
     # K_4^2: (0, 1) -- (1, 3) are ranks 1 and 7
     intra, cross = split_demands([(0, 1, 7)], 4)
-    assignment = LayerAssignment(edge_layer={0: 2}, t=4, q=2)
-    layers, columns = build_subproblems(intra, cross, assignment, 2)
+    layers, columns = build_subproblems(intra, cross, [2], 4, 2, 2)
     assert [len(ds) for ds in layers] == [0, 0, 1, 0]
     assert layers[2] == [(0, 0, 1)]
     assert columns == {0: [(0, 1, 2)], 1: [(0, 2, 3)]}
@@ -72,9 +70,7 @@ def test_build_subproblems_single_cross_demand():
 
 def test_build_subproblems_intra_column_only():
     # K_4^2: (2, 1) -- (2, 3) are ranks 9 and 11
-    layers, columns = build_subproblems(
-        [(0, 9, 11)], [], LayerAssignment(edge_layer={}, t=4, q=2), 2
-    )
+    layers, columns = build_subproblems([(0, 9, 11)], [], [], 4, 2, 2)
     assert all(not ds for ds in layers)
     assert columns == {2: [(0, 1, 3)]}
 
@@ -82,14 +78,13 @@ def test_build_subproblems_intra_column_only():
 def test_build_subproblems_detects_claim_violation():
     # a malformed assignment puts three parallel crossings 0 -- 1 into layer 0
     cross = [(0, 1, 5), (1, 2, 6), (2, 3, 7)]
-    bad = LayerAssignment(edge_layer={0: 0, 1: 0, 2: 0}, t=4, q=2)
     with pytest.raises(ClaimViolationError) as err:
-        build_subproblems([], cross, bad, 2)
+        build_subproblems([], cross, [0, 0, 0], 4, 2, 2)
     assert err.value.claim == "i"
     # five demands at vertex 0 of column 0 exceed 2q = 4
     intra = [(i, 0, 1 + i % 3) for i in range(5)]
     with pytest.raises(ClaimViolationError) as err:
-        build_subproblems(intra, [], LayerAssignment(edge_layer={}, t=4, q=2), 2)
+        build_subproblems(intra, [], [], 4, 2, 2)
     assert err.value.claim == "ii"
 
 
@@ -148,7 +143,7 @@ def test_solve_complete_k18_degree_4_sample():
 def _layer_of_crossing(cu: int, cv: int) -> int:
     """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
     host = regularize(project([(0, cu * 18, cv * 18)], 18, 2), 36)
-    return group_factors(two_factorization(host, 18), 2, 18).edge_layer[0]
+    return group_factors(two_factorization(host, 18), 2, 18)[0]
 
 
 def _route_one(u, v) -> Trail:
