@@ -78,8 +78,8 @@ def verify(
     # beyond that so a crafted huge header cannot force the allocation.
     counts: dict[int, int] | list[int]
     counts = [0] * total if total <= 8_000_000 else defaultdict(int)
-    rank_endpoints: dict[int, tuple[Vertex, Vertex]] = {}
-    trail_ranks: dict[int, list[int]] = {}
+    first_use: dict[int, tuple[Vertex, Vertex, int]] = {}  # endpoints and first trail
+    shared: dict[int, list[int]] = {}  # trails of each edge that more than one trail takes
     histogram: dict[int, int] = {}
     max_len = 0
     for did in sorted(routing):
@@ -106,21 +106,22 @@ def verify(
                     f"trail ends {tr.ends!r}, demand joins ({d.u!r}, {d.v!r})",
                 )
             )
-        ranks: list[int] = []
         for u, v in tr.edges():
             if sum(a != b for a, b in zip(u, v)) != 1:
                 violations.append(Violation("NOT_AN_EDGE", (did,), f"step {u!r} -> {v!r}"))
                 continue
             rank = edge_rank(u, v, spec)
-            ranks.append(rank)
             counts[rank] += 1
-            rank_endpoints.setdefault(rank, (u, v))
-        trail_ranks[did] = ranks
+            first = first_use.setdefault(rank, (u, v, did))[2]
+            if first != did:
+                users = shared.setdefault(rank, [first])
+                if users[-1] != did:  # trails run in id order, so each is listed once
+                    users.append(did)
 
-    for rank in sorted(rank_endpoints):
+    for rank in sorted(first_use):
         if counts[rank] > 1:
-            users = tuple(did for did, ranks in sorted(trail_ranks.items()) if rank in ranks)
-            u, v = rank_endpoints[rank]
+            u, v, first = first_use[rank]
+            users = tuple(shared.get(rank, (first,)))
             violations.append(
                 Violation(
                     "DUPLICATE_EDGE", users, f"edge {u!r} -- {v!r} used {counts[rank]} times"
@@ -131,7 +132,7 @@ def verify(
     stats = StatsBlock(
         length_histogram=histogram,
         max_trail_length=max_len,
-        edges_used=len(rank_endpoints),
+        edges_used=len(first_use),
         edges_total=total,
         degree_ratio_exact=exact,
         degree_ratio_tn=tn_convention,

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -10,6 +11,8 @@ from gridpair import (
     from_pairing,
     oracle_solve,
     random_demand_multigraph,
+    random_pairing,
+    solve,
     solve_complete,
     verify,
 )
@@ -76,6 +79,37 @@ def test_verify_counts_repeats_within_one_trail():
     report = verify(spec, dg, {0: walk})
     assert not report.ok
     assert any(v.kind == "DUPLICATE_EDGE" for v in report.violations)
+
+
+def test_verify_lists_a_self_repeating_trail_once():
+    spec = GridSpec(3, 2)
+    dg = from_pairing(spec, [((0, 0), (0, 1)), ((0, 0), (0, 1))])
+    walk = Trail(((0, 0), (0, 1), (0, 0), (0, 1)))
+    report = verify(spec, dg, {0: walk, 1: Trail(((0, 0), (0, 1)))})
+    (dup,) = report.violations
+    assert dup.kind == "DUPLICATE_EDGE"
+    assert dup.demand_ids == (0, 1)
+    assert dup.detail.endswith("used 4 times")
+
+
+def test_verify_duplicate_path_is_linear():
+    # every trail of a K_18^3 routing is handed to a second demand as well
+    spec = GridSpec(18, 3)
+    pairs = random_pairing(spec, Random(7))
+    m = len(pairs)
+    routing = solve(from_pairing(spec, pairs), seed=7)
+    doubled = {**routing, **{did + m: tr for did, tr in routing.items()}}
+    start = time.perf_counter()
+    report = verify(spec, from_pairing(spec, pairs + pairs), doubled)
+    elapsed = time.perf_counter() - start
+    assert [v.kind for v in report.violations] == ["DUPLICATE_EDGE"] * sum(
+        tr.length for tr in routing.values()
+    )
+    assert len(report.violations) == 14079
+    for v in report.violations:
+        did = v.demand_ids[0]
+        assert v.demand_ids == (did, did + m)
+    assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
 
 
 def test_degree_ratio_values():
