@@ -20,7 +20,7 @@ from .errors import (
     InfeasibleBudgetError,
 )
 from .formats import emit_instance, emit_routing, parse_instance, parse_routing
-from .grid import GridSpec
+from .grid import GridSpec, Vertex
 from .router import shorten_trail, solve
 from .verify import VerificationReport, verify
 
@@ -84,28 +84,37 @@ def _render_report(report: VerificationReport, bound: int) -> str:
     return "\n".join(lines)
 
 
+def _random_pairs(
+    spec: GridSpec, mode: str, q: int | None, rng: Random, unchecked: bool = False
+) -> list[tuple[Vertex, Vertex]]:
+    """Demand pairs of a random instance for gen and bench.
+
+    Raises ValueError when no such instance exists or the budget q is out of
+    range; `unchecked` lifts only the q <= floor(t/6)-1 cap.
+    """
+    if mode == "pairing":
+        if spec.num_vertices % 2:
+            raise ValueError(
+                f"pairing mode needs an even vertex count, t^n = {spec.num_vertices} is odd"
+            )
+        return random_pairing(spec, rng)
+    if q is None:
+        raise ValueError("multigraph mode requires --q")
+    cap = spec.t // 6 - 1
+    if q % 2 or q < 2 or (q > cap and not unchecked):
+        raise ValueError(f"--q must be even with 2 <= q <= floor(t/6)-1 = {cap}")
+    return random_demand_multigraph(spec, q, rng)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GridSpec(args.t, args.n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_FORMAT)
-    rng = Random(_resolve_seed(args))
-    if args.mode == "pairing":
-        if spec.num_vertices % 2:
-            return _fail(
-                f"pairing mode needs an even vertex count, t^n = {spec.num_vertices} is odd",
-                EXIT_INFEASIBLE,
-            )
-        pairs = random_pairing(spec, rng)
-    else:
-        if args.q is None:
-            return _fail("multigraph mode requires --q", EXIT_INFEASIBLE)
-        cap = spec.t // 6 - 1
-        if args.q % 2 or not 2 <= args.q <= cap:
-            return _fail(
-                f"--q must be even with 2 <= q <= floor(t/6)-1 = {cap}", EXIT_INFEASIBLE
-            )
-        pairs = random_demand_multigraph(spec, args.q, rng)
+    try:
+        pairs = _random_pairs(spec, args.mode, args.q, Random(_resolve_seed(args)))
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INFEASIBLE)
     text = emit_instance(from_pairing(spec, pairs))
     if args.out:
         Path(args.out).write_text(text)
@@ -196,14 +205,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     times = []
     for i in range(args.seeds):
         rng = Random(base_seed + i)
-        if args.mode == "pairing":
-            if spec.num_vertices % 2:
-                return _fail("pairing mode needs an even vertex count", EXIT_INFEASIBLE)
-            pairs = random_pairing(spec, rng)
-        else:
-            if args.q is None:
-                return _fail("multigraph mode requires --q", EXIT_INFEASIBLE)
-            pairs = random_demand_multigraph(spec, args.q, rng)
+        try:
+            pairs = _random_pairs(spec, args.mode, args.q, rng, args.unchecked)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_INFEASIBLE)
         dg = from_pairing(spec, pairs)
         start = time.perf_counter()
         try:

@@ -214,6 +214,15 @@ def test_bench_multigraph_mode(capsys):
     assert "verify ok" in capsys.readouterr().out
 
 
+def test_bench_rejects_bad_q_like_gen(capsys):
+    assert main(["bench", "18", "2", "--mode", "multigraph", "--q", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --q must be even")
+    assert "Traceback" not in err
+    assert main(["bench", "18", "1", "--seeds", "1", "--mode", "multigraph", "--q", "4"]) == 2
+    assert main(["bench", "3", "1", "--seeds", "1"]) == 2
+
+
 def test_route_shorten_produces_simple_verified_trails(tmp_path):
     inst = tmp_path / "inst.txt"
     plain = tmp_path / "plain.txt"
