@@ -42,7 +42,7 @@ def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[in
     oriented cyclically, so in-degree equals out-degree at every vertex. A
     loop counts once in and once out.
     """
-    if not all(0 <= u < num_vertices and 0 <= v < num_vertices for u, v in edges):
+    if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
         raise ValueError("edge endpoint outside vertex range")
     deg = [0] * num_vertices
     adj: list[list[int]] = [[] for _ in range(num_vertices)]
