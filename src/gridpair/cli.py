@@ -60,6 +60,13 @@ def _read_instance(path: str) -> DemandGraph:
         raise FormatError(f"{path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
+
+
 def _render_report(report: VerificationReport, bound: int) -> str:
     lines = []
     if report.ok:
@@ -117,7 +124,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_INFEASIBLE)
     text = emit_instance(from_pairing(spec, pairs))
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -130,7 +137,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_FORMAT)
     seed = _resolve_seed(args)
     try:
-        routing = solve(dg, seed=seed, jobs=args.jobs, unchecked=args.unchecked)
+        routing = solve(dg, seed=seed, unchecked=args.unchecked)
     except InfeasibleBudgetError as exc:
         return _fail(f"infeasible: {exc} (use --unchecked for best effort)", EXIT_INFEASIBLE)
     except BaseSolverExhaustedError as exc:
@@ -141,7 +148,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if not report.ok:
         print(_render_report(report, 6 * dg.spec.n - 3), file=sys.stderr)
         return _fail("routing failed verification; this is a bug", EXIT_BUG)
-    Path(args.output).write_text(emit_routing(routing))
+    _write(args.output, emit_routing(routing))
     print(
         f"routed {len(routing)} demands on K_{dg.spec.t}^{dg.spec.n}; "
         f"max trail length {report.stats.max_trail_length}; "
@@ -212,7 +219,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         dg = from_pairing(spec, pairs)
         start = time.perf_counter()
         try:
-            routing = solve(dg, seed=base_seed + i, jobs=args.jobs, unchecked=args.unchecked)
+            routing = solve(dg, seed=base_seed + i, unchecked=args.unchecked)
         except InfeasibleBudgetError as exc:
             return _fail(str(exc), EXIT_INFEASIBLE)
         except BaseSolverExhaustedError as exc:
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--seed", type=int, help="seed (default: $GRIDPAIR_SEED or 0)")
     route.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted for compatibility; changes neither output nor speed",
+        help="accepted but not used; changes neither output nor speed",
     )
     route.add_argument(
         "--unchecked", action="store_true",
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=("pairing", "multigraph"), default="pairing")
     bench.add_argument("--q", type=int, help="target max degree for multigraph mode")
     bench.add_argument("--seed", type=int, help="base seed (default: $GRIDPAIR_SEED or 0)")
-    bench.add_argument("--jobs", type=int, default=1, help="as for route: no effect")
+    bench.add_argument("--jobs", type=int, default=1, help="accepted but not used")
     bench.add_argument("--unchecked", action="store_true")
     bench.set_defaults(func=_cmd_bench)
     return parser

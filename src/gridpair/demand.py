@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
 from .errors import InfeasibleBudgetError
-from .factorization import Multigraph
 from .grid import GridSpec, Vertex
 
 
@@ -35,11 +34,10 @@ class DemandEdge:
 
 @dataclass(frozen=True)
 class DemandGraph:
-    """Demand multigraph over a grid, with an optional even degree budget q."""
+    """Demand multigraph over a grid."""
 
     spec: GridSpec
     edges: tuple[DemandEdge, ...]
-    q: int | None = None
 
     def __post_init__(self) -> None:
         seen: set[int] = set()
@@ -49,11 +47,6 @@ class DemandGraph:
             seen.add(d.id)
             self.spec.check_vertex(d.u)
             self.spec.check_vertex(d.v)
-        if self.q is not None:
-            if self.q < 2 or self.q % 2:
-                raise ValueError(f"degree budget must be even and >= 2, got {self.q}")
-            if self.max_degree > self.q:
-                raise ValueError(f"demand degree {self.max_degree} exceeds budget {self.q}")
 
     def degrees(self) -> Counter[Vertex]:
         deg: Counter[Vertex] = Counter()
@@ -67,16 +60,9 @@ class DemandGraph:
         deg = self.degrees()
         return max(deg.values()) if deg else 0
 
-    def with_budget(self, q: int) -> DemandGraph:
-        return replace(self, q=q)
-
 
 def from_pairing(spec: GridSpec, pairs: Sequence[tuple[Vertex, Vertex]]) -> DemandGraph:
-    """Demand graph with one edge per pair, ids numbered in input order.
-
-    The budget q is left unset; pick it with choose_q once the maximum
-    demand degree is known.
-    """
+    """Demand graph with one edge per pair, ids numbered in input order."""
     edges = tuple(DemandEdge(i, u, v) for i, (u, v) in enumerate(pairs))
     return DemandGraph(spec, edges)
 
@@ -110,11 +96,8 @@ def split_demands(
     return intra, cross
 
 
-def project(cross: Sequence[RankDemand], t: int, n: int) -> Multigraph:
-    """Project cross-column demands of K_t^n onto its t^(n-1) columns.
-
-    Edge i of the result is the projection of cross[i].
-    """
+def project(cross: Sequence[RankDemand], t: int, n: int) -> list[tuple[int, int]]:
+    """Edges over the t^(n-1) column ranks of K_t^n: edge i projects cross[i]."""
     if n < 2:
         raise ValueError("projection requires dimension n >= 2")
     edges = []
@@ -123,19 +106,27 @@ def project(cross: Sequence[RankDemand], t: int, n: int) -> Multigraph:
         if a == b:
             raise ValueError(f"demand {key} stays inside column {a}; not projectable")
         edges.append((a, b))
-    return Multigraph(t ** (n - 1), tuple(edges))
+    return edges
 
 
-def regularize(g: Multigraph, r: int) -> Multigraph:
-    """Append dummy edges until every vertex has degree exactly r.
+def regularize(
+    num_vertices: int, edges: Sequence[tuple[int, int]], r: int
+) -> list[tuple[int, int]]:
+    """The edges with dummy edges appended until every vertex has degree exactly r.
 
     Repeatedly joins the two most deficient vertices, the lower rank first on
     ties; a final lone deficient vertex (even deficiency, by parity) receives
     dummy loops. Existing edges keep their positions.
     """
+    if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
+        raise ValueError("edge endpoint outside vertex range")
+    degrees = [0] * num_vertices
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1  # a loop adds 2 at its vertex
     deficits: list[tuple[int, int]] = []  # (-deficit, vertex)
     total = 0
-    for v, deg in enumerate(g.degrees()):
+    for v, deg in enumerate(degrees):
         d = r - deg
         if d < 0:
             raise ValueError(f"vertex {v} has degree {deg} > target {r}")
@@ -158,7 +149,7 @@ def regularize(g: Multigraph, r: int) -> Multigraph:
         d, v = deficits[0]
         assert d % 2 == 0, "parity leaves an even deficiency on the last vertex"
         padding.extend([(v, v)] * (-d // 2))
-    return Multigraph(g.num_vertices, g.edges + tuple(padding))
+    return [*edges, *padding]
 
 
 def random_pairing(spec: GridSpec, rng: Random) -> list[tuple[Vertex, Vertex]]:

@@ -11,28 +11,7 @@ parallel edges and loops are never conflated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph on vertices 0..num_vertices-1; loops and parallels allowed."""
-
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.num_vertices
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1  # a loop adds 2 at its vertex
-        return deg
 
 
 def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -73,22 +52,27 @@ def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[in
     return tails
 
 
-def two_factorization(g: Multigraph, k: int) -> list[list[int]]:
+def two_factorization(
+    num_vertices: int, edges: Sequence[tuple[int, int]], k: int
+) -> list[list[int]]:
     """Decompose a 2k-regular multigraph into k spanning 2-factors, as sorted edge ids."""
     if k < 1:
         raise ValueError(f"factor count must be >= 1, got {k}")
-    deg = g.degrees()
-    bad = [v for v, d in enumerate(deg) if d != 2 * k]
+    tails = euler_orient(num_vertices, edges)
+    # In-degree equals out-degree, so a vertex of out-degree k has degree 2k.
+    out = [0] * num_vertices
+    for tail in tails:
+        out[tail] += 1
+    bad = [v for v, d in enumerate(out) if d != k]
     if bad:
         raise ValueError(
-            f"graph is not {2 * k}-regular: vertex {bad[0]} has degree {deg[bad[0]]}"
+            f"graph is not {2 * k}-regular: vertex {bad[0]} has degree {2 * out[bad[0]]}"
         )
-    tails = euler_orient(g.num_vertices, g.edges)
     # Arc tail -> head becomes a bipartite edge between the tail's out-copy and
     # the head's in-copy; a perfect matching picks one out-arc and one in-arc
-    # per vertex: degree 2.
-    arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, g.edges)]
-    matchings = bipartite_matching_decomposition(g.num_vertices, g.num_vertices, arcs, k)
+    # per vertex: degree 2. Those arcs are k-regular on both sides.
+    arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, edges)]
+    matchings = _decompose(num_vertices, num_vertices, arcs, list(range(len(arcs))), k)
     return [sorted(m) for m in matchings]
 
 

@@ -14,10 +14,14 @@ from typing import Iterator
 
 Vertex = tuple[int, ...]
 
+# Largest t^max(n, 2) a GridSpec admits: K_24^5 fits, and a tiny file cannot
+# declare a grid whose vertex or column tables would exhaust memory.
+_MAX_GRID_SIZE = 2**23
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Host graph parameters: side length t (>= 2) and dimension n (>= 1)."""
+    """Host graph parameters: side length t (>= 2), dimension n (>= 1), t^max(n, 2) <= 2^23."""
 
     t: int
     n: int
@@ -27,6 +31,13 @@ class GridSpec:
             raise ValueError(f"side length must be >= 2, got t={self.t}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got n={self.n}")
+        size = 1
+        for _ in range(max(self.n, 2)):  # t >= 2 ends this within 24 rounds
+            size *= self.t
+            if size > _MAX_GRID_SIZE:
+                raise ValueError(
+                    f"K_{self.t}^{self.n} exceeds the size budget t^max(n, 2) <= {_MAX_GRID_SIZE}"
+                )
 
     @property
     def num_vertices(self) -> int:

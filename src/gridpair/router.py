@@ -20,7 +20,7 @@ from random import Random
 from typing import Hashable, Sequence
 
 from .demand import DemandGraph, RankDemand, choose_q, project, regularize, split_demands
-from .errors import BaseSolverExhaustedError, ClaimViolationError, InfeasibleBudgetError
+from .errors import BaseSolverExhaustedError, ClaimViolationError
 from .factorization import group_factors, two_factorization
 from .grid import Trail, Vertex, vertex_from_rank, vertex_rank
 
@@ -104,6 +104,7 @@ def build_subproblems(
     return layers, dict(columns)
 
 
+_MAX_RESTARTS = 200
 _EXHAUSTIVE_MAX_T = 8
 # Cap matches the certification oracle's trail bound so feasibility verdicts agree.
 _EXHAUSTIVE_TRAIL_CAP = 4
@@ -113,13 +114,12 @@ def solve_complete(
     t: int,
     demands: Sequence[tuple[Hashable, int, int]],
     rng: Random | None = None,
-    max_restarts: int = 200,
 ) -> dict[Hashable, tuple[int, ...]]:
     """Pairwise edge-disjoint trails for demands (key, from, to) on K_t.
 
     Greedy passes first: direct edges, then length-2 detours through the
     least-loaded intermediate, then length-3 detours. On failure the demand
-    order is reshuffled, up to max_restarts times; for t <= 8 an exhaustive
+    order is reshuffled, up to 200 times; for t <= 8 an exhaustive
     search runs last. Raises BaseSolverExhaustedError when everything fails.
     """
     for key, x, y in demands:
@@ -131,7 +131,7 @@ def solve_complete(
         return {}
     rng = rng if rng is not None else Random(0)
     order = list(range(len(demands)))
-    for _ in range(max_restarts + 1):
+    for _ in range(_MAX_RESTARTS + 1):
         routed = _greedy_pass(t, demands, order)
         if routed is not None:
             return routed
@@ -145,7 +145,7 @@ def solve_complete(
             f"exists on K_{t} for demands {_triage(demands)}"
         )
     raise BaseSolverExhaustedError(
-        f"greedy routing failed after {max_restarts} restarts on K_{t} "
+        f"greedy routing failed after {_MAX_RESTARTS} restarts on K_{t} "
         f"for demands {_triage(demands)}"
     )
 
@@ -293,8 +293,8 @@ def shorten_trail(tr: Trail) -> Trail:
 
 def solve(
     dg: DemandGraph,
+    *,
     seed: int = 0,
-    jobs: int = 1,
     unchecked: bool = False,
     diagnostics: RouteDiagnostics | None = None,
 ) -> Routing:
@@ -304,25 +304,14 @@ def solve(
     higher dimensions the cross-column demands are spread over layers by a
     2-factor decomposition, layers recurse, columns are solved directly, and
     the pieces are concatenated per demand. Every trail starts at its
-    demand's u. `unchecked` skips the degree-budget feasibility gate (best
-    effort; the result is still worth verifying). `jobs` is accepted for
-    compatibility and has no effect on output or speed.
+    demand's u. The budget q comes from the maximum demand degree via
+    choose_q; `unchecked` skips its feasibility gate and only rounds the
+    degree up to even (best effort; the result is still worth verifying).
     """
     if not dg.edges:
         return {}
-    spec, q = dg.spec, dg.q
-    if q is None:
-        delta = dg.max_degree
-        if unchecked:
-            q = max(2, delta + delta % 2)
-        else:
-            q = choose_q(spec, delta)
-    elif not unchecked:
-        cap = spec.t // 6 - 1
-        if q > cap:
-            raise InfeasibleBudgetError(
-                f"budget q={q} exceeds floor(t/6)-1 = {cap} for t={spec.t}"
-            )
+    spec, delta = dg.spec, dg.max_degree
+    q = max(2, delta + delta % 2) if unchecked else choose_q(spec, delta)
     demands = [(d.id, vertex_rank(d.u, spec), vertex_rank(d.v, spec)) for d in dg.edges]
     trails = _solve_rec(spec.t, spec.n, demands, q, seed, diagnostics)
     coords: dict[int, Vertex] = {}
@@ -351,8 +340,9 @@ def _solve_rec(
     intra, cross = split_demands(demands, t)
     edge_layer: list[int] = []
     if cross:
-        host = regularize(project(cross, t, n), t * q)
-        edge_layer = group_factors(two_factorization(host, t * q // 2), q, t)
+        num_columns = t ** (n - 1)
+        host = regularize(num_columns, project(cross, t, n), t * q)
+        edge_layer = group_factors(two_factorization(num_columns, host, t * q // 2), q, t)
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {

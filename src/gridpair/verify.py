@@ -107,10 +107,11 @@ def verify(
                 )
             )
         for u, v in tr.edges():
-            if sum(a != b for a, b in zip(u, v)) != 1:
+            try:
+                rank = edge_rank(u, v, spec)
+            except ValueError:  # the step changes no coordinate, or more than one
                 violations.append(Violation("NOT_AN_EDGE", (did,), f"step {u!r} -> {v!r}"))
                 continue
-            rank = edge_rank(u, v, spec)
             counts[rank] += 1
             first = first_use.setdefault(rank, (u, v, did))[2]
             if first != did:

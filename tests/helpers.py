@@ -4,16 +4,21 @@ from __future__ import annotations
 
 from random import Random
 
-from gridpair import DemandGraph, GridSpec, Multigraph, Trail, vertex_rank
+from gridpair import DemandGraph, GridSpec, Trail, vertex_rank
 
 
-def random_regular_multigraph(num_vertices: int, degree: int, rng: Random) -> Multigraph:
-    """Configuration model: pair up degree stubs per vertex; loops and parallels arise naturally."""
+def random_regular_multigraph(
+    num_vertices: int, degree: int, rng: Random
+) -> list[tuple[int, int]]:
+    """Edges of a degree-regular multigraph on vertices 0..num_vertices-1.
+
+    Configuration model: pair up degree stubs per vertex; loops and parallels
+    arise naturally.
+    """
     assert (num_vertices * degree) % 2 == 0
     stubs = [v for v in range(num_vertices) for _ in range(degree)]
     rng.shuffle(stubs)
-    edges = tuple((stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2))
-    return Multigraph(num_vertices, edges)
+    return [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
 
 
 def wrap_complete_routing(trails: dict) -> dict[int, Trail]:

@@ -113,19 +113,19 @@ def test_criterion_3_two_factorization_suite():
     for _ in range(200):
         k = rng.choice([1, 2, 3, 6])
         nv = rng.randrange(1, 201)
-        g = random_regular_multigraph(nv, 2 * k, rng)
-        factors = two_factorization(g, k)
+        edge_list = random_regular_multigraph(nv, 2 * k, rng)
+        factors = two_factorization(nv, edge_list, k)
         assert len(factors) == k
         spent: list[int] = []
         for f in factors:
             deg = [0] * nv
             for eid in f:
-                u, v = g.edges[eid]
+                u, v = edge_list[eid]
                 deg[u] += 1
                 deg[v] += 1
             assert deg == [2] * nv, "factor must be spanning and 2-regular"
             spent.extend(f)
-        assert sorted(spent) == list(range(len(g.edges))), "factors must partition the edges"
+        assert sorted(spent) == list(range(len(edge_list))), "factors must partition the edges"
         checked += 1
     _report(
         "criterion 3 (2-factor decomposition, 200 random regular multigraphs)",

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpair import (
-    Multigraph,
     bipartite_matching_decomposition,
     euler_orient,
     group_factors,
@@ -17,28 +16,28 @@ from gridpair import (
 from helpers import random_regular_multigraph
 
 
-def factor_degrees(g: Multigraph, factor: list[int]) -> list[int]:
-    deg = [0] * g.num_vertices
+def factor_degrees(nv: int, edges, factor: list[int]) -> list[int]:
+    deg = [0] * nv
     for eid in factor:
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         deg[u] += 1
         deg[v] += 1
     return deg
 
 
-def assert_valid_factorization(g: Multigraph, k: int, factors: list[list[int]]) -> None:
+def assert_valid_factorization(nv: int, edges, k: int, factors: list[list[int]]) -> None:
     assert len(factors) == k
     seen: list[int] = []
     for f in factors:
-        assert all(d == 2 for d in factor_degrees(g, f))
+        assert all(d == 2 for d in factor_degrees(nv, edges, f))
         seen.extend(f)
-    assert sorted(seen) == list(range(len(g.edges)))
+    assert sorted(seen) == list(range(len(edges)))
 
 
-def out_in_degrees(g: Multigraph) -> tuple[list[int], list[int]]:
-    """Out- and in-degrees of g's edges as oriented by euler_orient."""
-    out, inc = [0] * g.num_vertices, [0] * g.num_vertices
-    for tail, (u, v) in zip(euler_orient(g.num_vertices, g.edges), g.edges):
+def out_in_degrees(nv: int, edges) -> tuple[list[int], list[int]]:
+    """Out- and in-degrees of the edges as oriented by euler_orient."""
+    out, inc = [0] * nv, [0] * nv
+    for tail, (u, v) in zip(euler_orient(nv, edges), edges):
         assert tail in (u, v)
         out[tail] += 1
         inc[v if tail == u else u] += 1
@@ -46,18 +45,16 @@ def out_in_degrees(g: Multigraph) -> tuple[list[int], list[int]]:
 
 
 def test_euler_orient_triangle():
-    g = Multigraph(3, ((0, 1), (1, 2), (2, 0)))
-    assert out_in_degrees(g) == ([1, 1, 1], [1, 1, 1])
+    assert out_in_degrees(3, ((0, 1), (1, 2), (2, 0))) == ([1, 1, 1], [1, 1, 1])
 
 
 def test_euler_orient_two_disjoint_cycles():
-    g = Multigraph(8, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)))
-    assert out_in_degrees(g) == ([1] * 8, [1] * 8)
+    edges = ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4))
+    assert out_in_degrees(8, edges) == ([1] * 8, [1] * 8)
 
 
 def test_euler_orient_double_loop():
-    g = Multigraph(1, ((0, 0), (0, 0)))
-    assert out_in_degrees(g) == ([2], [2])
+    assert out_in_degrees(1, ((0, 0), (0, 0))) == ([2], [2])
 
 
 def test_euler_orient_rejects_odd_degree():
@@ -74,51 +71,54 @@ def test_euler_orient_rejects_edges_outside_vertex_range():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_euler_orient_balances_random_even_graphs(seed, k, nv):
-    g = random_regular_multigraph(nv, 2 * k, Random(seed))
-    tails = euler_orient(nv, g.edges)
-    assert len(tails) == len(g.edges)
-    out, inc = out_in_degrees(g)
+    edges = random_regular_multigraph(nv, 2 * k, Random(seed))
+    tails = euler_orient(nv, edges)
+    assert len(tails) == len(edges)
+    out, inc = out_in_degrees(nv, edges)
     assert out == inc
 
 
 def test_two_factorization_identity_on_2_regular():
-    g = Multigraph(5, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3)))
-    factors = two_factorization(g, 1)
-    assert_valid_factorization(g, 1, factors)
+    edges = ((0, 1), (1, 2), (2, 0), (3, 4), (4, 3))
+    factors = two_factorization(5, edges, 1)
+    assert_valid_factorization(5, edges, 1, factors)
     assert factors[0] == list(range(5))
 
 
 def test_two_factorization_k5():
     edges = tuple(combinations(range(5), 2))
-    g = Multigraph(5, edges)
-    factors = two_factorization(g, 2)
-    assert_valid_factorization(g, 2, factors)
+    factors = two_factorization(5, edges, 2)
+    assert_valid_factorization(5, edges, 2, factors)
 
 
 def test_two_factorization_loops_only():
-    g = Multigraph(1, ((0, 0), (0, 0), (0, 0)))
-    factors = two_factorization(g, 3)
-    assert_valid_factorization(g, 3, factors)
+    edges = ((0, 0), (0, 0), (0, 0))
+    factors = two_factorization(1, edges, 3)
+    assert_valid_factorization(1, edges, 3, factors)
     assert all(len(f) == 1 for f in factors)
 
 
 def test_two_factorization_rejects_irregular():
     with pytest.raises(ValueError):
-        two_factorization(Multigraph(3, ((0, 1), (1, 2), (2, 0), (0, 1))), 2)
+        two_factorization(3, ((0, 1), (1, 2), (2, 0), (0, 1)), 2)
+    # endpoint outside the 2 vertices; doubled, so every degree stays even
+    for edges in (((0, 2), (2, 0)), ((0, -1), (-1, 0))):
+        with pytest.raises(ValueError):
+            two_factorization(2, edges, 1)
 
 
 def test_two_factorization_is_deterministic():
-    g = random_regular_multigraph(30, 6, Random(99))
-    a = two_factorization(g, 3)
-    b = two_factorization(g, 3)
+    edges = random_regular_multigraph(30, 6, Random(99))
+    a = two_factorization(30, edges, 3)
+    b = two_factorization(30, edges, 3)
     assert a == b
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 6]), st.integers(1, 60))
 @settings(max_examples=40, deadline=None)
 def test_two_factorization_property(seed, k, nv):
-    g = random_regular_multigraph(nv, 2 * k, Random(seed))
-    assert_valid_factorization(g, k, two_factorization(g, k))
+    edges = random_regular_multigraph(nv, 2 * k, Random(seed))
+    assert_valid_factorization(nv, edges, k, two_factorization(nv, edges, k))
 
 
 def test_matching_decomposition_1_regular_identity():
@@ -200,13 +200,13 @@ def test_group_factors_rejects_odd_budget():
 def test_grouped_layers_respect_degree_budget(seed, q, t):
     rng = Random(seed)
     nv = rng.randrange(1, 30)
-    g = random_regular_multigraph(nv, t * q, rng)
-    factors = two_factorization(g, t * q // 2)
+    edges = random_regular_multigraph(nv, t * q, rng)
+    factors = two_factorization(nv, edges, t * q // 2)
     edge_layer = group_factors(factors, q, t)
-    assert len(edge_layer) == len(g.edges)
+    assert len(edge_layer) == len(edges)
     per_layer_deg: dict[int, Counter] = {}
     for eid, layer in enumerate(edge_layer):
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         deg = per_layer_deg.setdefault(layer, Counter())
         deg[u] += 1
         deg[v] += 1
@@ -233,5 +233,5 @@ def factor_digest(factors) -> str:
 
 @pytest.mark.parametrize("nv, k, seed", sorted(FACTOR_GOLDEN))
 def test_two_factorization_golden(nv, k, seed):
-    g = random_regular_multigraph(nv, 2 * k, Random(seed))
-    assert factor_digest(two_factorization(g, k)) == FACTOR_GOLDEN[nv, k, seed]
+    edges = random_regular_multigraph(nv, 2 * k, Random(seed))
+    assert factor_digest(two_factorization(nv, edges, k)) == FACTOR_GOLDEN[nv, k, seed]

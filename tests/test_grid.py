@@ -23,6 +23,10 @@ def test_spec_rejects_bad_parameters():
         GridSpec(1, 2)
     with pytest.raises(ValueError):
         GridSpec(3, 0)
+    for t, n in ((10**10, 1), (3, 10**8), (2, 24)):  # above the size budget
+        with pytest.raises(ValueError):
+            GridSpec(t, n)
+    assert GridSpec(24, 5).num_vertices == 7_962_624
 
 
 def test_is_grid_edge_examples():

@@ -105,7 +105,7 @@ def test_route_verify_stats_happy_path(tmp_path, capsys):
     assert "4.077" in text
 
 
-def test_route_exit_codes(tmp_path):
+def test_route_exit_codes(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     out = tmp_path / "routing.txt"
     assert main(["gen", "12", "1", "--seed", "1", "-o", str(inst)]) == 0
@@ -115,6 +115,17 @@ def test_route_exit_codes(tmp_path):
     bad.write_text("GRID x\n")
     assert main(["route", str(bad), str(out)]) == 5
     assert main(["route", str(tmp_path / "missing.txt"), str(out)]) == 5
+    capsys.readouterr()
+    # grids above the size budget, and output paths that cannot be written
+    for text in ("GRID 10000000000 1\nDEMANDS 1\n0 0 5\n", "GRID 3 10000\nDEMANDS 0\n"):
+        bad.write_text(text)
+        assert main(["route", str(bad), str(out)]) == 5
+    unwritable = str(tmp_path / "missing" / "out.txt")
+    assert main(["route", str(inst), unwritable, "--unchecked"]) == 5
+    assert main(["gen", "18", "1", "-o", unwritable]) == 5
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 4
+    assert "Traceback" not in err
 
 
 def test_route_exit_3_when_instance_is_unroutable(tmp_path):

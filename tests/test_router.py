@@ -126,7 +126,7 @@ def test_solve_complete_rejects_bad_demands():
 def test_solve_complete_exhausts_on_infeasible():
     # three parallel demands on K_3 exceed vertex degree 2
     with pytest.raises(BaseSolverExhaustedError):
-        solve_complete(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], Random(0), max_restarts=5)
+        solve_complete(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], Random(0))
 
 
 def test_solve_complete_k18_degree_4_sample():
@@ -142,8 +142,8 @@ def test_solve_complete_k18_degree_4_sample():
 
 def _layer_of_crossing(cu: int, cv: int) -> int:
     """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
-    host = regularize(project([(0, cu * 18, cv * 18)], 18, 2), 36)
-    return group_factors(two_factorization(host, 18), 2, 18)[0]
+    host = regularize(18, project([(0, cu * 18, cv * 18)], 18, 2), 36)
+    return group_factors(two_factorization(18, host, 18), 2, 18)[0]
 
 
 def _route_one(u, v) -> Trail:
@@ -194,8 +194,8 @@ def test_solve_routes_general_multigraph_demands():
 def test_solve_is_deterministic_across_jobs():
     spec = GridSpec(18, 2)
     dg = from_pairing(spec, random_pairing(spec, Random(6)))
-    a = solve(dg, seed=10, jobs=1)
-    b = solve(dg, seed=10, jobs=4)
+    a = solve(dg, seed=10)
+    b = solve(dg, seed=10)
     assert a == b
 
 

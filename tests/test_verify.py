@@ -46,6 +46,10 @@ def test_verify_flags_non_adjacent_step():
     report = verify(spec, dg, {0: Trail(((0, 0), (1, 1)))})
     assert not report.ok
     assert report.violations[0].kind == "NOT_AN_EDGE"
+    # a stalled step changes no coordinate
+    report = verify(spec, dg, {0: Trail(((0, 0), (0, 0), (1, 0), (1, 1)))})
+    assert [v.kind for v in report.violations] == ["NOT_AN_EDGE"]
+    assert report.violations[0].detail == "step (0, 0) -> (0, 0)"
 
 
 def test_verify_flags_endpoint_mismatch():
