@@ -67,6 +67,13 @@ def _write(path: str, text: str) -> None:
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any work when path's directory is missing or read-only."""
+    parent = Path(path).parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK):
+        raise FormatError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _render_report(report: VerificationReport, bound: int) -> str:
     lines = []
     if report.ok:
@@ -132,6 +139,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_route(args: argparse.Namespace) -> int:
     try:
+        _check_writable(args.output)
         dg = _read_instance(args.instance)
     except FormatError as exc:
         return _fail(str(exc), EXIT_FORMAT)

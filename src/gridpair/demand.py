@@ -2,9 +2,11 @@
 
 A demand asks for a trail between two grid vertices. Inside the router a
 demand is a (key, u rank, v rank) triple. Cross-column demands are projected
-onto their columns to form an auxiliary multigraph, which is padded with
-dummy edges until it is exactly t*q-regular; the padded graph is what the
-2-factor machinery decomposes.
+onto the active columns (those that some cross demand touches) to form an
+auxiliary multigraph, which is padded with dummy edges until every active
+column has degree exactly t*q; the padded graph is what the 2-factor
+machinery decomposes. Inactive columns are left out, so the work follows
+the demands rather than the t^(n-1) columns of the grid.
 """
 
 from __future__ import annotations
@@ -96,17 +98,27 @@ def split_demands(
     return intra, cross
 
 
-def project(cross: Sequence[RankDemand], t: int, n: int) -> list[tuple[int, int]]:
-    """Edges over the t^(n-1) column ranks of K_t^n: edge i projects cross[i]."""
+def project(
+    cross: Sequence[RankDemand], t: int, n: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The active columns of K_t^n and the cross demands' edges over them.
+
+    The active columns are the sorted ranks of the columns that some cross
+    demand touches; edge i joins the positions in that list of cross[i]'s
+    two columns. Inactive columns carry no demand, so the multigraph stays
+    as small as the demands.
+    """
     if n < 2:
         raise ValueError("projection requires dimension n >= 2")
-    edges = []
+    pairs = []
     for key, u, v in cross:
         a, b = u // t, v // t
         if a == b:
             raise ValueError(f"demand {key} stays inside column {a}; not projectable")
-        edges.append((a, b))
-    return edges
+        pairs.append((a, b))
+    active = sorted({c for pair in pairs for c in pair})
+    index = {c: i for i, c in enumerate(active)}
+    return active, [(index[a], index[b]) for a, b in pairs]
 
 
 def regularize(

@@ -3,11 +3,12 @@
 The engine works on vertex ranks (mixed radix, last coordinate least
 significant), so rank r of K_t^n lies in column r // t and layer r % t.
 Cross-column demands are rerouted through a layer chosen by 2-factorizing the
-regularized column-projection graph: each becomes a column hop, a layer
-crossing, and a second column hop. Layers recurse one dimension down, columns
-and one-dimensional instances are solved directly on the complete graph, and
-the pieces are concatenated per original demand. Column and layer edge sets
-are pairwise disjoint, so edge-disjointness composes across subproblems.
+regularized projection onto the active columns: each becomes a column hop, a
+layer crossing, and a second column hop. Layers recurse one dimension down,
+columns and one-dimensional instances are solved directly on the complete
+graph, and the pieces are concatenated per original demand. Column and layer
+edge sets are pairwise disjoint, so edge-disjointness composes across
+subproblems.
 Coordinates appear only where `solve` reads its input and builds its result.
 """
 
@@ -340,9 +341,9 @@ def _solve_rec(
     intra, cross = split_demands(demands, t)
     edge_layer: list[int] = []
     if cross:
-        num_columns = t ** (n - 1)
-        host = regularize(num_columns, project(cross, t, n), t * q)
-        edge_layer = group_factors(two_factorization(num_columns, host, t * q // 2), q, t)
+        active, aux = project(cross, t, n)
+        host = regularize(len(active), aux, t * q)
+        edge_layer = group_factors(two_factorization(len(active), host, t * q // 2), q, t)
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {

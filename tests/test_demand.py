@@ -89,13 +89,14 @@ def test_split_is_a_partition(seed):
 
 def test_project_example():
     # K_4^3: (0, 1, 0) has rank 4, (2, 3, 1) rank 45; their columns (0, 1) and (2, 3)
-    # are ranks 1 and 11 of K_4^2
-    assert project([(7, 4, 45)], 4, 3) == [(1, 11)]
+    # are ranks 1 and 11 of K_4^2, the only active columns, at positions 0 and 1
+    assert project([(7, 4, 45)], 4, 3) == ([1, 11], [(0, 1)])
+    assert project([(7, 45, 4)], 4, 3) == ([1, 11], [(1, 0)])
 
 
 def test_project_keeps_parallel_edges():
     # K_3^2: (0, 0) -- (1, 1) and (0, 2) -- (1, 0) both join columns 0 and 1
-    assert project([(0, 0, 4), (1, 2, 3)], 3, 2) == [(0, 1), (0, 1)]
+    assert project([(0, 0, 4), (1, 2, 3)], 3, 2) == ([0, 1], [(0, 1), (0, 1)])
 
 
 def test_project_rejects_intra_column_demand():
@@ -108,9 +109,11 @@ def test_projection_degree_stays_under_t_times_q():
     for seed in range(100):
         dg = from_pairing(spec, random_pairing(spec, Random(seed)))
         _, cross = split_demands(rank_demands(dg), spec.t)
-        edges = project(cross, spec.t, spec.n)
+        active, edges = project(cross, spec.t, spec.n)
         assert len(edges) == len(cross)
-        assert max(degrees(spec.t, edges)) <= spec.t * 2  # q = 2 for a perfect pairing
+        deg = degrees(len(active), edges)
+        assert min(deg) >= 1, "every active column carries a cross demand"
+        assert max(deg) <= spec.t * 2  # q = 2 for a perfect pairing
 
 
 def test_regularize_identity_when_already_regular():
@@ -157,10 +160,10 @@ def test_regularize_property(seed, half_q):
     rng = Random(seed)
     dg = from_pairing(spec, random_demand_multigraph(spec, q, rng))
     _, cross = split_demands(rank_demands(dg), spec.t)
-    edges = project(cross, spec.t, spec.n)
+    active, edges = project(cross, spec.t, spec.n)
     target = spec.t * q
-    out = regularize(spec.t, edges, target)
-    assert degrees(spec.t, out) == [target] * spec.t
+    out = regularize(len(active), edges, target)
+    assert degrees(len(active), out) == [target] * len(active)
     assert out[: len(edges)] == edges
     assert all(a != b for a, b in edges)
 

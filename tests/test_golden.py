@@ -37,8 +37,8 @@ GOLDEN = {
     "pairing_t18_n1": "258ad12be40ae6133662a1deec2777c4b53a99c4b5f6a261bf5d2eaea8c25e3c",
     "pairing_t18_n2": "a76832cd6f07cb3c256416bd09393ea12e11013b8f5b72acbcbe3db02ba60d52",
     "multigraph_t30_n2_q4": "6d99972611f6fc2a47e89bac22b2ba0b7c4d07f4909c32aede711bbf2e600d40",
-    "pairing_t18_n3": "198e80c4490a17a0d1e13c70a628666c2cd27cc8d5cb0e5262f58afb670a3754",
-    "sparse_t18_n4_m50": "fbdac06f515207d4d12512e635586e1cf939b6741d614e996b7d167ebb61ae04",
+    "pairing_t18_n3": "f752d5570ef8a703b6cee24b63b4fc387a9ed6e41f40f51b9d5eda869f0ae857",
+    "sparse_t18_n4_m50": "75e26504afe49b9f04acdde12d0e5022e548daf7581cbf98ad0a750cda2e4825",
     "unchecked_t4_n2": "BaseSolverExhaustedError",
     "unchecked_t6_n3": "2ba07fba589ae77f128b2e053717aeb1b51b93839c25e1e4e3776ddc0fc22c10",
     "unchecked_t8_n3": "dc60723c7016b2b1ec3810452405ab2c449faaa23c7d2841f61f2e1d62aece26",

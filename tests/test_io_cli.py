@@ -105,7 +105,7 @@ def test_route_verify_stats_happy_path(tmp_path, capsys):
     assert "4.077" in text
 
 
-def test_route_exit_codes(tmp_path, capsys):
+def test_route_exit_codes(tmp_path, capsys, monkeypatch):
     inst = tmp_path / "inst.txt"
     out = tmp_path / "routing.txt"
     assert main(["gen", "12", "1", "--seed", "1", "-o", str(inst)]) == 0
@@ -121,7 +121,13 @@ def test_route_exit_codes(tmp_path, capsys):
         bad.write_text(text)
         assert main(["route", str(bad), str(out)]) == 5
     unwritable = str(tmp_path / "missing" / "out.txt")
-    assert main(["route", str(inst), unwritable, "--unchecked"]) == 5
+
+    def unreachable_solve(*args, **kwargs):
+        raise AssertionError("an unwritable output must fail before routing")
+
+    with monkeypatch.context() as m:
+        m.setattr("gridpair.cli.solve", unreachable_solve)
+        assert main(["route", str(inst), unwritable, "--unchecked"]) == 5
     assert main(["gen", "18", "1", "-o", unwritable]) == 5
     err = capsys.readouterr().err
     assert err.count("error: ") == 4

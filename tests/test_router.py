@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -24,6 +25,7 @@ from gridpair import (
     split_demands,
     two_factorization,
     verify,
+    vertex_from_rank,
 )
 from gridpair.errors import BaseSolverExhaustedError, ClaimViolationError
 from helpers import wrap_complete_routing
@@ -142,8 +144,9 @@ def test_solve_complete_k18_degree_4_sample():
 
 def _layer_of_crossing(cu: int, cv: int) -> int:
     """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
-    host = regularize(18, project([(0, cu * 18, cv * 18)], 18, 2), 36)
-    return group_factors(two_factorization(18, host, 18), 2, 18)[0]
+    active, edges = project([(0, cu * 18, cv * 18)], 18, 2)
+    host = regularize(len(active), edges, 36)
+    return group_factors(two_factorization(len(active), host, 18), 2, 18)[0]
 
 
 def _route_one(u, v) -> Trail:
@@ -236,6 +239,39 @@ def test_solve_accepts_non_contiguous_demand_ids():
     routing = solve(renumbered, seed=15)
     assert set(routing) == {d.id for d in renumbered.edges}
     assert verify(spec, renumbered, routing).ok
+
+
+def test_factorization_size_follows_the_cross_demands(monkeypatch):
+    # each level pads and 2-factorizes only the columns its cross demands
+    # touch, never all t^(n-1) of them
+    sizes: list[list[int]] = []  # [dimension, cross demands, factorized vertices]
+
+    def recording_project(cross, t, n):
+        sizes.append([n, len(cross)])
+        return project(cross, t, n)
+
+    def recording_two_factorization(num_vertices, edges, k):
+        sizes[-1].append(num_vertices)
+        return two_factorization(num_vertices, edges, k)
+
+    monkeypatch.setattr("gridpair.router.project", recording_project)
+    monkeypatch.setattr("gridpair.router.two_factorization", recording_two_factorization)
+    spec = GridSpec(18, 4)
+    rng = Random(5)
+    verts = [vertex_from_rank(r, spec) for r in rng.sample(range(spec.num_vertices), 100)]
+    dg = from_pairing(spec, list(zip(verts[::2], verts[1::2])))
+    assert verify(spec, dg, solve(dg, seed=5)).ok
+    assert {n for n, _, _ in sizes} == {2, 3, 4}
+    assert all(num_vertices <= 2 * m for _, m, num_vertices in sizes), sizes
+
+
+def test_one_demand_on_k24_5_routes_quickly():
+    spec = GridSpec(24, 5)
+    dg = from_pairing(spec, [((0,) * 5, (23,) * 5)])
+    start = time.perf_counter()
+    routing = solve(dg)
+    assert verify(spec, dg, routing).ok
+    assert time.perf_counter() - start < 5
 
 
 def test_shorten_trail_removes_cycles():
