@@ -49,11 +49,17 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_instance(path: str) -> DemandGraph:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_instance(path: str) -> DemandGraph:
+    text = _read_text(path)
     try:
         return parse_instance(text)
     except FormatError as exc:
@@ -167,10 +173,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _load_pair(args: argparse.Namespace) -> tuple[DemandGraph, dict]:
     dg = _read_instance(args.instance)
-    try:
-        text = Path(args.routing).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {args.routing}: {exc}") from None
+    text = _read_text(args.routing)
     try:
         routing = parse_routing(text, dg.spec)
     except FormatError as exc:

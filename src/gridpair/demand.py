@@ -3,15 +3,14 @@
 A demand asks for a trail between two grid vertices. Inside the router a
 demand is a (key, u rank, v rank) triple. Cross-column demands are projected
 onto the active columns (those that some cross demand touches) to form an
-auxiliary multigraph, which is padded with dummy edges until every active
-column has degree exactly t*q; the padded graph is what the 2-factor
-machinery decomposes. Inactive columns are left out, so the work follows
-the demands rather than the t^(n-1) columns of the grid.
+auxiliary multigraph of maximum degree at most t*q; `two_factorization`
+pads it to t*q-regular itself and splits it into t*q/2 factors. Inactive
+columns are left out, so the work follows the demands rather than the
+t^(n-1) columns of the grid.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
@@ -119,49 +118,6 @@ def project(
     active = sorted({c for pair in pairs for c in pair})
     index = {c: i for i, c in enumerate(active)}
     return active, [(index[a], index[b]) for a, b in pairs]
-
-
-def regularize(
-    num_vertices: int, edges: Sequence[tuple[int, int]], r: int
-) -> list[tuple[int, int]]:
-    """The edges with dummy edges appended until every vertex has degree exactly r.
-
-    Repeatedly joins the two most deficient vertices, the lower rank first on
-    ties; a final lone deficient vertex (even deficiency, by parity) receives
-    dummy loops. Existing edges keep their positions.
-    """
-    if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
-        raise ValueError("edge endpoint outside vertex range")
-    degrees = [0] * num_vertices
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1  # a loop adds 2 at its vertex
-    deficits: list[tuple[int, int]] = []  # (-deficit, vertex)
-    total = 0
-    for v, deg in enumerate(degrees):
-        d = r - deg
-        if d < 0:
-            raise ValueError(f"vertex {v} has degree {deg} > target {r}")
-        if d > 0:
-            deficits.append((-d, v))
-            total += d
-    if total % 2:
-        raise ValueError(f"total deficiency {total} is odd; degree {r} unreachable")
-    heapq.heapify(deficits)
-    padding: list[tuple[int, int]] = []
-    while len(deficits) >= 2:
-        da, va = heapq.heappop(deficits)
-        db, vb = heapq.heappop(deficits)
-        padding.append((va, vb))
-        if da + 1 < 0:
-            heapq.heappush(deficits, (da + 1, va))
-        if db + 1 < 0:
-            heapq.heappush(deficits, (db + 1, vb))
-    if deficits:
-        d, v = deficits[0]
-        assert d % 2 == 0, "parity leaves an even deficiency on the last vertex"
-        padding.extend([(v, v)] * (-d // 2))
-    return [*edges, *padding]
 
 
 def random_pairing(spec: GridSpec, rng: Random) -> list[tuple[Vertex, Vertex]]:

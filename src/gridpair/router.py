@@ -3,12 +3,12 @@
 The engine works on vertex ranks (mixed radix, last coordinate least
 significant), so rank r of K_t^n lies in column r // t and layer r % t.
 Cross-column demands are rerouted through a layer chosen by 2-factorizing the
-regularized projection onto the active columns: each becomes a column hop, a
-layer crossing, and a second column hop. Layers recurse one dimension down,
-columns and one-dimensional instances are solved directly on the complete
-graph, and the pieces are concatenated per original demand. Column and layer
-edge sets are pairwise disjoint, so edge-disjointness composes across
-subproblems.
+projection onto the active columns (`two_factorization` pads it to
+t*q-regular): each becomes a column hop, a layer crossing, and a second
+column hop. Layers recurse one dimension down, columns and one-dimensional
+instances are solved directly on the complete graph, and the pieces are
+concatenated per original demand. Column and layer edge sets are pairwise
+disjoint, so edge-disjointness composes across subproblems.
 Coordinates appear only where `solve` reads its input and builds its result.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Hashable, Sequence
 
-from .demand import DemandGraph, RankDemand, choose_q, project, regularize, split_demands
+from .demand import DemandGraph, RankDemand, choose_q, project, split_demands
 from .errors import BaseSolverExhaustedError, ClaimViolationError
 from .factorization import group_factors, two_factorization
 from .grid import Trail, Vertex, vertex_from_rank, vertex_rank
@@ -342,8 +342,7 @@ def _solve_rec(
     edge_layer: list[int] = []
     if cross:
         active, aux = project(cross, t, n)
-        host = regularize(len(active), aux, t * q)
-        edge_layer = group_factors(two_factorization(len(active), host, t * q // 2), q, t)
+        edge_layer = group_factors(two_factorization(len(active), aux, t * q // 2), q, t)
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {

@@ -21,6 +21,26 @@ def random_regular_multigraph(
     return [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
 
 
+def assert_padded_factorization(nv: int, edges, k: int, factors: list[list[int]]) -> None:
+    """k factors that partition the edge ids, each adding at most 2 to every degree
+    and exactly 2 where the degree is already 2k (nothing is padded there)."""
+    assert len(factors) == k
+    assert sorted(eid for f in factors for eid in f) == list(range(len(edges)))
+    full = [0] * nv
+    for u, v in edges:
+        full[u] += 1
+        full[v] += 1
+    for f in factors:
+        assert f == sorted(f)
+        deg = [0] * nv
+        for eid in f:
+            u, v = edges[eid]
+            deg[u] += 1
+            deg[v] += 1
+        assert all(d <= 2 for d in deg)
+        assert all(d == 2 for d, dv in zip(deg, full) if dv == 2 * k)
+
+
 def wrap_complete_routing(trails: dict) -> dict[int, Trail]:
     """Lift integer trails from the complete-graph solver into 1-tuple grid trails."""
     return {key: Trail(tuple((x,) for x in verts)) for key, verts in trails.items()}

@@ -12,12 +12,12 @@ from gridpair import (
     project,
     random_demand_multigraph,
     random_pairing,
-    regularize,
     solve,
     split_demands,
+    two_factorization,
 )
 from gridpair.errors import InfeasibleBudgetError
-from helpers import rank_demands
+from helpers import assert_padded_factorization, rank_demands
 
 
 def degrees(nv: int, edges) -> list[int]:
@@ -116,40 +116,42 @@ def test_projection_degree_stays_under_t_times_q():
         assert max(deg) <= spec.t * 2  # q = 2 for a perfect pairing
 
 
+# The projection is padded to regular inside two_factorization; these tests pin
+# that padding through the factors it yields.
+
+
 def test_regularize_identity_when_already_regular():
-    assert regularize(2, ((0, 1), (0, 1)), 2) == [(0, 1), (0, 1)]
+    assert two_factorization(2, ((0, 1), (0, 1)), 1) == [[0, 1]]
 
 
 def test_regularize_balances_two_deficient_vertices():
-    # degrees: 0 -> 2, 1 -> 1, 2 -> 1 against target 2
-    out = regularize(3, ((0, 1), (0, 2)), 2)
-    assert degrees(3, out) == [2, 2, 2]
-    assert out[2:] == [(1, 2)]
+    # degrees: 0 -> 2, 1 -> 1, 2 -> 1 against target 2; the dummy (1, 2) is left out
+    assert two_factorization(3, ((0, 1), (0, 2)), 1) == [[0, 1]]
 
 
 def test_regularize_pads_lone_vertex_with_loops():
     # 0 and 1 are full at 2; vertex 2 alone is short by 2 and gets one loop
-    out = regularize(3, ((0, 1), (0, 1)), 2)
-    assert out[2:] == [(2, 2)]
-    assert degrees(3, out) == [2, 2, 2]
+    assert two_factorization(3, ((0, 1), (0, 1)), 1) == [[0, 1]]
+    # at k = 2 every vertex carries loops, so one factor may be empty
+    edges = ((0, 1), (0, 1))
+    assert_padded_factorization(3, edges, 2, two_factorization(3, edges, 2))
 
 
 def test_regularize_loops_only_case():
-    # 0 already full at 4; 1 deficient by 4 -> two dummy loops
-    out = regularize(2, ((0, 0), (0, 0)), 4)
-    assert out[2:] == [(1, 1), (1, 1)]
-    assert degrees(2, out) == [4, 4]
+    # 0 already full at 4 from its own two loops; 1 deficient by 4 -> two loops
+    factors = two_factorization(2, ((0, 0), (0, 0)), 2)
+    assert sorted(factors) == [[0], [1]]
 
 
 def test_regularize_rejects_overfull_vertex():
     with pytest.raises(ValueError):
-        regularize(2, ((0, 1),) * 3, 2)
+        two_factorization(2, ((0, 1),) * 3, 1)
 
 
 def test_regularize_rejects_edges_outside_vertex_range():
     for edges in (((0, 2),), ((0, -1),)):
         with pytest.raises(ValueError):
-            regularize(2, edges, 2)
+            two_factorization(2, edges, 1)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -161,11 +163,9 @@ def test_regularize_property(seed, half_q):
     dg = from_pairing(spec, random_demand_multigraph(spec, q, rng))
     _, cross = split_demands(rank_demands(dg), spec.t)
     active, edges = project(cross, spec.t, spec.n)
-    target = spec.t * q
-    out = regularize(len(active), edges, target)
-    assert degrees(len(active), out) == [target] * len(active)
-    assert out[: len(edges)] == edges
+    k = spec.t * q // 2
     assert all(a != b for a, b in edges)
+    assert_padded_factorization(len(active), edges, k, two_factorization(len(active), edges, k))
 
 
 def test_random_pairing_covers_every_vertex_once():

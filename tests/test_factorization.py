@@ -13,7 +13,7 @@ from gridpair import (
     group_factors,
     two_factorization,
 )
-from helpers import random_regular_multigraph
+from helpers import assert_padded_factorization, random_regular_multigraph
 
 
 def factor_degrees(nv: int, edges, factor: list[int]) -> list[int]:
@@ -99,8 +99,9 @@ def test_two_factorization_loops_only():
 
 
 def test_two_factorization_rejects_irregular():
+    # degrees 3, 3, 2: deficient vertices are padded, but 3 > 2k = 2 cannot be
     with pytest.raises(ValueError):
-        two_factorization(3, ((0, 1), (1, 2), (2, 0), (0, 1)), 2)
+        two_factorization(3, ((0, 1), (1, 2), (2, 0), (0, 1)), 1)
     # endpoint outside the 2 vertices; doubled, so every degree stays even
     for edges in (((0, 2), (2, 0)), ((0, -1), (-1, 0))):
         with pytest.raises(ValueError):
@@ -119,6 +120,27 @@ def test_two_factorization_is_deterministic():
 def test_two_factorization_property(seed, k, nv):
     edges = random_regular_multigraph(nv, 2 * k, Random(seed))
     assert_valid_factorization(nv, edges, k, two_factorization(nv, edges, k))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 30), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_two_factorization_pads_bounded_degree_graphs(seed, k, nv, isolated):
+    # random multigraph of maximum degree <= 2k with explicit loops, odd
+    # deficiencies and `isolated` extra vertices that no edge touches
+    rng = Random(seed)
+    deg = [0] * nv
+    edges = []
+    for _ in range(rng.randrange(nv * k + 1)):
+        u = rng.randrange(nv)
+        v = u if rng.random() < 0.2 else rng.randrange(nv)
+        if deg[u] + 1 + (u == v) > 2 * k or deg[v] + 1 > 2 * k:
+            continue
+        deg[u] += 1
+        deg[v] += 1
+        edges.append((u, v))
+    num_vertices = nv + isolated
+    factors = two_factorization(num_vertices, edges, k)
+    assert_padded_factorization(num_vertices, edges, k, factors)
 
 
 def test_matching_decomposition_1_regular_identity():

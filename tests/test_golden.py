@@ -35,13 +35,13 @@ CASES = {
 
 GOLDEN = {
     "pairing_t18_n1": "258ad12be40ae6133662a1deec2777c4b53a99c4b5f6a261bf5d2eaea8c25e3c",
-    "pairing_t18_n2": "a76832cd6f07cb3c256416bd09393ea12e11013b8f5b72acbcbe3db02ba60d52",
-    "multigraph_t30_n2_q4": "6d99972611f6fc2a47e89bac22b2ba0b7c4d07f4909c32aede711bbf2e600d40",
-    "pairing_t18_n3": "f752d5570ef8a703b6cee24b63b4fc387a9ed6e41f40f51b9d5eda869f0ae857",
-    "sparse_t18_n4_m50": "75e26504afe49b9f04acdde12d0e5022e548daf7581cbf98ad0a750cda2e4825",
+    "pairing_t18_n2": "bc5285fe483116a7f0021244379416a1f668de7c9845fdb2d3539aea9699feab",
+    "multigraph_t30_n2_q4": "6057fd231f12713680a54848865905faa918025d436f1c29d67e0e86dddb36d1",
+    "pairing_t18_n3": "4dabf2fc9c67055a151c3c8d13d901117b6ced372fad3c34f0da29ee17d11e02",
+    "sparse_t18_n4_m50": "f441ff6cb4d01e34d6cad72ea1886329f9589b7cfc0f43d9b4da077ddd097c2b",
     "unchecked_t4_n2": "BaseSolverExhaustedError",
-    "unchecked_t6_n3": "2ba07fba589ae77f128b2e053717aeb1b51b93839c25e1e4e3776ddc0fc22c10",
-    "unchecked_t8_n3": "dc60723c7016b2b1ec3810452405ab2c449faaa23c7d2841f61f2e1d62aece26",
+    "unchecked_t6_n3": "456e3adf739343eb07052b30ea42c1c486478f17009126286e8f288b27073ce5",
+    "unchecked_t8_n3": "3df7dec81251397b75c2356d9d3f28dc850691fcb2145cfe87d321713b91a50b",
 }
 
 

@@ -120,6 +120,8 @@ def test_route_exit_codes(tmp_path, capsys, monkeypatch):
     for text in ("GRID 10000000000 1\nDEMANDS 1\n0 0 5\n", "GRID 3 10000\nDEMANDS 0\n"):
         bad.write_text(text)
         assert main(["route", str(bad), str(out)]) == 5
+    bad.write_bytes(b"\xff\xfeGRID 12 1\n")  # not UTF-8
+    assert main(["route", str(bad), str(out)]) == 5
     unwritable = str(tmp_path / "missing" / "out.txt")
 
     def unreachable_solve(*args, **kwargs):
@@ -130,7 +132,26 @@ def test_route_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(["route", str(inst), unwritable, "--unchecked"]) == 5
     assert main(["gen", "18", "1", "-o", unwritable]) == 5
     err = capsys.readouterr().err
+    assert err.count("error: ") == 5
+    assert "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_verify_and_stats_reject_non_utf8_files(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    routed = tmp_path / "routing.txt"
+    assert main(["gen", "18", "1", "--seed", "1", "-o", str(inst)]) == 0
+    assert main(["route", str(inst), str(routed)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + routed.read_bytes())
+    capsys.readouterr()
+    for command in ("verify", "stats"):
+        # exit 1 would mean "violations found"; an unreadable file is a format error
+        assert main([command, str(bad), str(routed)]) == 5
+        assert main([command, str(inst), str(bad)]) == 5
+    err = capsys.readouterr().err
     assert err.count("error: ") == 4
+    assert err.count("not UTF-8") == 4
     assert "Traceback" not in err
 
 

@@ -12,13 +12,13 @@ from gridpair import (
     RouteDiagnostics,
     Trail,
     build_subproblems,
+    euler_orient,
     from_pairing,
     group_factors,
     oracle_solve,
     project,
     random_demand_multigraph,
     random_pairing,
-    regularize,
     shorten_trail,
     solve,
     solve_complete,
@@ -145,8 +145,7 @@ def test_solve_complete_k18_degree_4_sample():
 def _layer_of_crossing(cu: int, cv: int) -> int:
     """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
     active, edges = project([(0, cu * 18, cv * 18)], 18, 2)
-    host = regularize(len(active), edges, 36)
-    return group_factors(two_factorization(len(active), host, 18), 2, 18)[0]
+    return group_factors(two_factorization(len(active), edges, 18), 2, 18)[0]
 
 
 def _route_one(u, v) -> Trail:
@@ -263,6 +262,33 @@ def test_factorization_size_follows_the_cross_demands(monkeypatch):
     assert verify(spec, dg, solve(dg, seed=5)).ok
     assert {n for n, _, _ in sizes} == {2, 3, 4}
     assert all(num_vertices <= 2 * m for _, m, num_vertices in sizes), sizes
+
+
+def test_euler_walks_visit_real_edges_only(monkeypatch):
+    # padding rides along as loop counts: a walk covers the level's cross
+    # edges, at most one dummy per two odd columns and one odd loop per column
+    walks: list[tuple[int, int]] = []  # (edges walked, bound of the level)
+
+    def recording_project(cross, t, n):
+        active, edges = project(cross, t, n)
+        walks.append((-1, len(cross) + 2 * len(active)))
+        return active, edges
+
+    def recording_euler_orient(num_vertices, edges):
+        walks.append((len(edges), walks[-1][1]))
+        return euler_orient(num_vertices, edges)
+
+    monkeypatch.setattr("gridpair.router.project", recording_project)
+    monkeypatch.setattr("gridpair.factorization.euler_orient", recording_euler_orient)
+    # the golden sparse_t18_n4_m50 instance: 50 demands on K_18^4, seed 105
+    spec = GridSpec(18, 4)
+    rng = Random(105)
+    verts = [vertex_from_rank(r, spec) for r in rng.sample(range(spec.num_vertices), 100)]
+    dg = from_pairing(spec, list(zip(verts[::2], verts[1::2])))
+    assert verify(spec, dg, solve(dg, seed=105)).ok
+    over = [(walked, bound) for walked, bound in walks if walked > bound]
+    assert any(walked >= 0 for walked, _ in walks)
+    assert not over, f"{len(over)} walks above their bound, largest {max(over)}"
 
 
 def test_one_demand_on_k24_5_routes_quickly():

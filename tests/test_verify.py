@@ -109,7 +109,7 @@ def test_verify_duplicate_path_is_linear():
     assert [v.kind for v in report.violations] == ["DUPLICATE_EDGE"] * sum(
         tr.length for tr in routing.values()
     )
-    assert len(report.violations) == 14079
+    assert len(report.violations) == 14135
     for v in report.violations:
         did = v.demand_ids[0]
         assert v.demand_ids == (did, did + m)
