@@ -34,6 +34,16 @@ def _int(token: str, line_no: int, what: str) -> int:
         raise FormatError(f"expected integer {what}, got {token!r}", line_no) from None
 
 
+def _ints(tokens: list[str], line_no: int, what: str) -> list[int]:
+    """All tokens as integers; on a bad one, the error `_int` gives for the first."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            _int(token, line_no, what)
+        raise
+
+
 def parse_instance(text: str) -> DemandGraph:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -62,7 +72,7 @@ def parse_instance(text: str) -> DemandGraph:
                 f"demand line needs 1 + 2n = {1 + 2 * n} integers, got {len(tokens)}",
                 offset,
             )
-        values = [_int(tok, offset, "coordinate") for tok in tokens]
+        values = _ints(tokens, offset, "coordinate")
         did, coords = values[0], values[1:]
         u, v = tuple(coords[:n]), tuple(coords[n:])
         try:
@@ -113,7 +123,11 @@ def parse_routing(text: str, spec: GridSpec) -> dict[int, Trail]:
                 raise FormatError(
                     f"vertex needs {spec.n} coordinates, got {len(tokens)}", offset
                 )
-            vertices.append(tuple(_int(tok, offset, "coordinate") for tok in tokens))
+            try:
+                vertices.append(tuple(map(int, tokens)))
+            except ValueError:
+                _ints(tokens, offset, "coordinate")  # raises, naming the first bad token
+                raise
         if declared != len(vertices) - 1:
             raise FormatError(
                 f"declared length {declared} but trail has {len(vertices) - 1} edges",

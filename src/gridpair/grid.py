@@ -122,24 +122,22 @@ def edge_rank(u: Vertex, v: Vertex, spec: GridSpec) -> int:
     Edges are keyed by (varying position, fixed coordinates, value pair);
     raises for non-adjacent vertex pairs. Coordinates must already be valid.
     """
-    pos = -1
+    t = spec.t
+    pos = lo = hi = -1
+    rest = 0
     for p, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            if pos >= 0:
-                raise ValueError(f"{u!r} -- {v!r} is not a grid edge")
-            pos = p
+        if a == b:
+            rest = rest * t + a
+        elif pos < 0:
+            pos, lo, hi = p, a, b
+        else:
+            raise ValueError(f"{u!r} -- {v!r} is not a grid edge")
     if pos < 0:
         raise ValueError(f"{u!r} -- {v!r} is not a grid edge")
-    a, b = u[pos], v[pos]
-    if a > b:
-        a, b = b, a
-    rest = 0
-    for p, c in enumerate(u):
-        if p != pos:
-            rest = rest * spec.t + c
-    pair_rank = a * spec.t - a * (a + 1) // 2 + (b - a - 1)
-    pairs = spec.t * (spec.t - 1) // 2
-    return (pos * spec.t ** (spec.n - 1) + rest) * pairs + pair_rank
+    if lo > hi:
+        lo, hi = hi, lo
+    pair_rank = lo * t - lo * (lo + 1) // 2 + (hi - lo - 1)
+    return (pos * t ** (spec.n - 1) + rest) * (t * (t - 1) // 2) + pair_rank
 
 
 @dataclass(frozen=True)

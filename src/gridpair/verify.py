@@ -9,7 +9,6 @@ tiny instances.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,6 +56,18 @@ def degree_ratio(spec: GridSpec) -> tuple[float, float]:
     return (spec.t - 1) / log_t, spec.t / log_t
 
 
+def _first_bad_vertex(vertices: Sequence[Vertex], spec: GridSpec) -> Vertex | None:
+    """The first vertex that is not an n-tuple over [0, t), or None."""
+    n, t = spec.n, spec.t
+    for v in vertices:
+        if len(v) != n:
+            return v
+        for c in v:
+            if not 0 <= c < t:
+                return v
+    return None
+
+
 def verify(
     spec: GridSpec, dg: DemandGraph, routing: Mapping[int, Trail]
 ) -> VerificationReport:
@@ -74,31 +85,23 @@ def verify(
         violations.append(Violation("EXTRA_TRAIL", (did,), "trail without a demand"))
 
     total = edge_count(spec)
-    # Dense ledger for O(1) checks at the sizes routing targets; sparse map
-    # beyond that so a crafted huge header cannot force the allocation.
-    counts: dict[int, int] | list[int]
-    counts = [0] * total if total <= 8_000_000 else defaultdict(int)
     first_use: dict[int, tuple[Vertex, Vertex, int]] = {}  # endpoints and first trail
+    repeats: dict[int, int] = {}  # uses of each edge taken more than once
     shared: dict[int, list[int]] = {}  # trails of each edge that more than one trail takes
     histogram: dict[int, int] = {}
     max_len = 0
     for did in sorted(routing):
         tr = routing[did]
-        histogram[tr.length] = histogram.get(tr.length, 0) + 1
-        max_len = max(max_len, tr.length)
-        bad_vertex = next(
-            (
-                v
-                for v in tr.vertices
-                if len(v) != spec.n or any(not 0 <= c < spec.t for c in v)
-            ),
-            None,
-        )
+        vs = tr.vertices
+        length = len(vs) - 1
+        histogram[length] = histogram.get(length, 0) + 1
+        max_len = max(max_len, length)
+        bad_vertex = _first_bad_vertex(vs, spec)
         if bad_vertex is not None:
             violations.append(Violation("BAD_VERTEX", (did,), f"vertex {bad_vertex!r}"))
             continue
         d = by_id.get(did)
-        if d is not None and {tr.vertices[0], tr.vertices[-1]} != {d.u, d.v}:
+        if d is not None and (vs[0], vs[-1]) not in ((d.u, d.v), (d.v, d.u)):
             violations.append(
                 Violation(
                     "ENDPOINT_MISMATCH",
@@ -106,28 +109,29 @@ def verify(
                     f"trail ends {tr.ends!r}, demand joins ({d.u!r}, {d.v!r})",
                 )
             )
-        for u, v in tr.edges():
+        for u, v in zip(vs, vs[1:]):
             try:
                 rank = edge_rank(u, v, spec)
             except ValueError:  # the step changes no coordinate, or more than one
                 violations.append(Violation("NOT_AN_EDGE", (did,), f"step {u!r} -> {v!r}"))
                 continue
-            counts[rank] += 1
-            first = first_use.setdefault(rank, (u, v, did))[2]
+            first_ends = first_use.get(rank)
+            if first_ends is None:
+                first_use[rank] = (u, v, did)
+                continue
+            repeats[rank] = repeats.get(rank, 1) + 1
+            first = first_ends[2]
             if first != did:
                 users = shared.setdefault(rank, [first])
                 if users[-1] != did:  # trails run in id order, so each is listed once
                     users.append(did)
 
-    for rank in sorted(first_use):
-        if counts[rank] > 1:
-            u, v, first = first_use[rank]
-            users = tuple(shared.get(rank, (first,)))
-            violations.append(
-                Violation(
-                    "DUPLICATE_EDGE", users, f"edge {u!r} -- {v!r} used {counts[rank]} times"
-                )
-            )
+    for rank in sorted(repeats):
+        u, v, first = first_use[rank]
+        users = tuple(shared.get(rank, (first,)))
+        violations.append(
+            Violation("DUPLICATE_EDGE", users, f"edge {u!r} -- {v!r} used {repeats[rank]} times")
+        )
 
     exact, tn_convention = degree_ratio(spec)
     stats = StatsBlock(

@@ -51,6 +51,8 @@ def test_parse_instance_diagnostics():
         parse_instance("GRID 3 2\nDEMANDS 1\n0 0 0 9 1\n")  # coordinate out of range
     with pytest.raises(FormatError):
         parse_instance("GRID 3 2\nDEMANDS 1\n0 0 0 x 1\n")  # not an integer
+    with pytest.raises(FormatError, match=r"^line 3: expected integer coordinate, got '1a'$"):
+        parse_instance("GRID 3 2\nDEMANDS 1\n0 0 1a 0 b\n")  # the first bad token is named
     with pytest.raises(FormatError):
         parse_instance("GRID 3 2\nDEMANDS 2\n0 0 0 0 1\n0 0 0 1 0\n")  # dup id
 
@@ -63,6 +65,14 @@ def test_parse_routing_diagnostics():
         parse_routing("ROUTING 1\n0 1 0 | 0 1\n", spec)  # vertex arity
     with pytest.raises(FormatError):
         parse_routing("ROUTING 2\n0 1 0 0 | 0 1\n0 1 0 0 | 0 2\n", spec)  # dup id
+    # the first bad token is named; vertices are read in order, so a bad
+    # integer before a short vertex is reported, and a short vertex before one
+    with pytest.raises(FormatError, match=r"^line 2: expected integer coordinate, got 'x'$"):
+        parse_routing("ROUTING 1\n0 2 0 0 | 0 x | 1 y\n", spec)
+    with pytest.raises(FormatError, match=r"got 'x'$"):
+        parse_routing("ROUTING 1\n0 2 0 x | 0 | 1 1\n", spec)
+    with pytest.raises(FormatError, match=r"vertex needs 2 coordinates, got 1$"):
+        parse_routing("ROUTING 1\n0 2 0 0 | 0 | 1 x\n", spec)
 
 
 def test_gen_pairing_cli(tmp_path, capsys):
