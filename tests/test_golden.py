@@ -3,7 +3,7 @@
 Each case records the sha256 of `emit_routing(solve(dg, seed))`, or the name
 of the exception `solve` raises. A refactor of the router must leave every
 digest unchanged; a change that alters routing on purpose updates the digest
-and says why.
+and says why. The `gen` cases pin the instance files the generators write.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ from gridpair import (
     solve,
     vertex_from_rank,
 )
+from gridpair.cli import main as cli_main
 
 # name: (instance kind, t, n, seed for both the instance and solve, unchecked)
 CASES = {
@@ -69,3 +70,28 @@ def _outcome(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_routing(name):
     assert _outcome(name) == GOLDEN[name]
+
+
+# name: (`gridpair gen` arguments, sha256 of the instance file they write)
+GEN_GOLDEN = {
+    "pairing_t18_n2": (
+        "18 2 --seed 1",
+        "061a633ee29183d05c382e365b937474314ef9e8bbbb85a15a8faa164b8a40f3",
+    ),
+    "pairing_t18_n3": (
+        "18 3 --seed 2",
+        "a0ea522100153b9897867a5b6286da51fbabb18dd2b033c554bc43f8e0c8953e",
+    ),
+    "multigraph_t30_n2_q4": (
+        "30 2 --mode multigraph --q 4 --seed 3",
+        "ca52da1571a1c0c966b544d2577aa8939ad58ad0404a9abd08358daecd3a1d11",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_GOLDEN))
+def test_golden_gen(name, tmp_path):
+    args, digest = GEN_GOLDEN[name]
+    out = tmp_path / "instance.txt"
+    assert cli_main(["gen", *args.split(), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
