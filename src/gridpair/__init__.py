@@ -29,12 +29,7 @@ from .grid import (
     GridSpec,
     Trail,
     Vertex,
-    column_of,
     edge_count,
-    edge_rank,
-    edges,
-    is_grid_edge,
-    layer_of,
     vertex_from_rank,
     vertex_rank,
 )
@@ -75,18 +70,13 @@ __all__ = [
     "bipartite_matching_decomposition",
     "build_subproblems",
     "choose_q",
-    "column_of",
     "degree_ratio",
     "edge_count",
-    "edge_rank",
-    "edges",
     "emit_instance",
     "emit_routing",
     "euler_orient",
     "from_pairing",
     "group_factors",
-    "is_grid_edge",
-    "layer_of",
     "oracle_solve",
     "parse_instance",
     "parse_routing",

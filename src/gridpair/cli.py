@@ -20,7 +20,7 @@ from .errors import (
     InfeasibleBudgetError,
 )
 from .formats import emit_instance, emit_routing, parse_instance, parse_routing
-from .grid import GridSpec, Vertex
+from .grid import GridSpec
 from .router import shorten_trail, solve
 from .verify import VerificationReport, verify
 
@@ -74,7 +74,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _check_writable(path: str) -> None:
-    """Fail before any work when path's directory is missing or read-only."""
+    """Fail before any work when path is a directory or its directory is missing or read-only."""
+    if Path(path).is_dir():
+        raise FormatError(f"cannot write {path}: it is a directory")
     parent = Path(path).parent
     if not parent.is_dir() or not os.access(parent, os.W_OK):
         raise FormatError(f"cannot write {path}: {parent} is not a writable directory")
@@ -106,8 +108,8 @@ def _render_report(report: VerificationReport, bound: int) -> str:
 
 def _random_pairs(
     spec: GridSpec, mode: str, q: int | None, rng: Random, unchecked: bool = False
-) -> list[tuple[Vertex, Vertex]]:
-    """Demand pairs of a random instance for gen and bench.
+) -> list[tuple[int, int]]:
+    """Demand pairs (vertex ranks) of a random instance for gen and bench.
 
     Raises ValueError when no such instance exists or the budget q is out of
     range; `unchecked` lifts only the q <= floor(t/6)-1 cap.
@@ -162,7 +164,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if not report.ok:
         print(_render_report(report, 6 * dg.spec.n - 3), file=sys.stderr)
         return _fail("routing failed verification; this is a bug", EXIT_BUG)
-    _write(args.output, emit_routing(routing))
+    _write(args.output, emit_routing(routing, dg.spec))
     print(
         f"routed {len(routing)} demands on K_{dg.spec.t}^{dg.spec.n}; "
         f"max trail length {report.stats.max_trail_length}; "
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", choices=("pairing", "multigraph"), default="pairing")
     bench.add_argument("--q", type=int, help="target max degree for multigraph mode")
     bench.add_argument("--seed", type=int, help="base seed (default: $GRIDPAIR_SEED or 0)")
-    bench.add_argument("--jobs", type=int, default=1, help="accepted but not used")
     bench.add_argument("--unchecked", action="store_true")
     bench.set_defaults(func=_cmd_bench)
     return parser

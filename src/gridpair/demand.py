@@ -1,12 +1,12 @@
 """Demand multigraphs, degree budgets, and the column-projection graph.
 
-A demand asks for a trail between two grid vertices. Inside the router a
-demand is a (key, u rank, v rank) triple. Cross-column demands are projected
-onto the active columns (those that some cross demand touches) to form an
-auxiliary multigraph of maximum degree at most t*q; `two_factorization`
-pads it to t*q-regular itself and splits it into t*q/2 factors. Inactive
-columns are left out, so the work follows the demands rather than the
-t^(n-1) columns of the grid.
+A demand asks for a trail between two grid vertices, held as a DemandEdge
+(id, u rank, v rank); the router's subproblems are plain triples of that form.
+Cross-column demands are projected onto the active columns (those that
+some cross demand touches) to form an auxiliary multigraph of maximum
+degree at most t*q; `two_factorization` pads it to t*q-regular itself and
+splits it into t*q/2 factors. Inactive columns are left out, so the work
+follows the demands rather than the t^(n-1) columns of the grid.
 """
 
 from __future__ import annotations
@@ -14,43 +14,41 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InfeasibleBudgetError
-from .grid import GridSpec, Vertex
+from .grid import GridSpec
 
 
-@dataclass(frozen=True)
-class DemandEdge:
-    """One demand: connect u and v by a trail."""
+class DemandEdge(NamedTuple):
+    """One demand: connect vertex ranks u and v by a trail."""
 
     id: int
-    u: Vertex
-    v: Vertex
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"demand {self.id} pairs vertex {self.u!r} with itself")
+    u: int
+    v: int
 
 
 @dataclass(frozen=True)
 class DemandGraph:
-    """Demand multigraph over a grid."""
+    """Demand multigraph over a grid, in the router's (id, u rank, v rank) form."""
 
     spec: GridSpec
     edges: tuple[DemandEdge, ...]
 
     def __post_init__(self) -> None:
+        size = self.spec.num_vertices
         seen: set[int] = set()
-        for d in self.edges:
-            if d.id in seen:
-                raise ValueError(f"duplicate demand id {d.id}")
-            seen.add(d.id)
-            self.spec.check_vertex(d.u)
-            self.spec.check_vertex(d.v)
+        for did, u, v in self.edges:
+            if did in seen:
+                raise ValueError(f"duplicate demand id {did}")
+            seen.add(did)
+            if u == v:
+                raise ValueError(f"demand {did} pairs vertex rank {u} with itself")
+            if not (0 <= u < size and 0 <= v < size):
+                raise ValueError(f"demand {did}: vertex rank outside [0, {size})")
 
-    def degrees(self) -> Counter[Vertex]:
-        deg: Counter[Vertex] = Counter()
+    def degrees(self) -> Counter[int]:
+        deg: Counter[int] = Counter()
         for d in self.edges:
             deg[d.u] += 1
             deg[d.v] += 1
@@ -62,8 +60,8 @@ class DemandGraph:
         return max(deg.values()) if deg else 0
 
 
-def from_pairing(spec: GridSpec, pairs: Sequence[tuple[Vertex, Vertex]]) -> DemandGraph:
-    """Demand graph with one edge per pair, ids numbered in input order."""
+def from_pairing(spec: GridSpec, pairs: Sequence[tuple[int, int]]) -> DemandGraph:
+    """Demand graph with one edge per pair of vertex ranks, ids numbered in input order."""
     edges = tuple(DemandEdge(i, u, v) for i, (u, v) in enumerate(pairs))
     return DemandGraph(spec, edges)
 
@@ -82,23 +80,22 @@ def choose_q(spec: GridSpec, delta: int) -> int:
     return q
 
 
-RankDemand = tuple[int, int, int]
-"""(key, u, v) with u and v vertex ranks of one grid: the router's demand form."""
-
-
 def split_demands(
-    demands: Sequence[RankDemand], t: int
-) -> tuple[list[RankDemand], list[RankDemand]]:
-    """Partition rank demands into (intra_column, cross_column); rank r lies in column r // t."""
-    intra: list[RankDemand] = []
-    cross: list[RankDemand] = []
+    demands: Sequence[tuple[int, int, int]], t: int
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """Partition (key, u, v) demands into (intra_column, cross_column).
+
+    Rank r lies in column r // t.
+    """
+    intra: list[tuple[int, int, int]] = []
+    cross: list[tuple[int, int, int]] = []
     for d in demands:
         (cross if d[1] // t != d[2] // t else intra).append(d)
     return intra, cross
 
 
 def project(
-    cross: Sequence[RankDemand], t: int, n: int
+    cross: Sequence[tuple[int, int, int]], t: int, n: int
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """The active columns of K_t^n and the cross demands' edges over them.
 
@@ -120,29 +117,27 @@ def project(
     return active, [(index[a], index[b]) for a, b in pairs]
 
 
-def random_pairing(spec: GridSpec, rng: Random) -> list[tuple[Vertex, Vertex]]:
-    """Uniformly random perfect pairing of all grid vertices; t^n must be even."""
-    verts = list(spec.vertices())
+def random_pairing(spec: GridSpec, rng: Random) -> list[tuple[int, int]]:
+    """Uniformly random perfect pairing of all vertex ranks; t^n must be even."""
+    verts = list(range(spec.num_vertices))
     if len(verts) % 2:
         raise ValueError(f"cannot pair an odd number of vertices ({len(verts)})")
     rng.shuffle(verts)
     return [(verts[i], verts[i + 1]) for i in range(0, len(verts), 2)]
 
 
-def random_demand_multigraph(
-    spec: GridSpec, q: int, rng: Random
-) -> list[tuple[Vertex, Vertex]]:
-    """Random demand multiset with maximum degree exactly q.
+def random_demand_multigraph(spec: GridSpec, q: int, rng: Random) -> list[tuple[int, int]]:
+    """Random demand multiset over vertex ranks with maximum degree exactly q.
 
     Built by repeated random matchings over the vertices still below budget;
     parallel demands are allowed, self-demands never occur.
     """
     if q < 1:
         raise ValueError(f"degree budget must be >= 1, got {q}")
-    deg: Counter[Vertex] = Counter()
-    pairs: list[tuple[Vertex, Vertex]] = []
+    deg = [0] * spec.num_vertices
+    pairs: list[tuple[int, int]] = []
     while True:
-        open_verts = [v for v in spec.vertices() if deg[v] < q]
+        open_verts = [v for v, d in enumerate(deg) if d < q]
         if len(open_verts) < 2:
             break
         rng.shuffle(open_verts)

@@ -24,21 +24,28 @@ def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[in
 
     The head of edge i is its other endpoint. Each maximal closed walk is
     oriented cyclically, so in-degree equals out-degree at every vertex. A
-    loop counts once in and once out.
+    loop counts once in and once out. Raises ValueError for an endpoint
+    outside [0, num_vertices) or a vertex of odd degree.
     """
     if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
         raise ValueError("edge endpoint outside vertex range")
     deg = [0] * num_vertices
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for eid, (u, v) in enumerate(edges):
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1  # a loop adds 2 at its vertex
-        adj[u].append(eid)
-        if u != v:
-            adj[v].append(eid)
     odd = [v for v, d in enumerate(deg) if d % 2]
     if odd:
         raise ValueError(f"Euler orientation needs even degrees; odd at {odd[:5]}")
+    return _euler_walk(num_vertices, edges)
+
+
+def _euler_walk(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """`euler_orient` without its checks, for graphs even and in range by construction."""
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append(eid)
+        if u != v:
+            adj[v].append(eid)
     tails = [-1] * len(edges)
     unread = [iter(lst) for lst in adj]  # each vertex's edges, consumed in order
     for start in range(num_vertices):
@@ -85,7 +92,7 @@ def two_factorization(
     for v in odd:
         deg[v] += 1
     loops = [k - d // 2 for d in deg]
-    tails = euler_orient(num_vertices, host)
+    tails = _euler_walk(num_vertices, host)  # in range (checked above), even (padded)
     # A loop is one out- and one in-arc of its vertex, so with the loops a
     # vertex of out-degree k - loops[v] has degree 2k.
     out = [0] * num_vertices
@@ -156,7 +163,7 @@ def _decompose(
         # half of a vertex's loops; an odd one is walked, and its direction
         # says which half gains it.
         odd = [v for v, c in enumerate(loops) if c % 2]
-        tails = euler_orient(
+        tails = _euler_walk(
             num_left + num_right,
             [(edges[i][0], num_left + edges[i][1]) for i in idxs]
             + [(v, num_left + v) for v in odd],

@@ -8,22 +8,39 @@ Instance:
 Routing:
     ROUTING m
     <id> <len> <v0> | <v1> | ... | <v_len>
+
+Files hold coordinates; demands and trails in memory hold vertex ranks.
+Parsing range-checks and ranks every vertex once, emitting renders every
+rank once.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .demand import DemandEdge, DemandGraph
 from .errors import FormatError
-from .grid import GridSpec, Trail
+from .grid import GridSpec, Trail, vertex_from_rank, vertex_rank
+
+
+def _renderer(spec: GridSpec) -> Callable[[int], str]:
+    """Rank -> its coordinates as space-separated text, each rank rendered once."""
+    text: dict[int, str] = {}
+
+    def render(rank: int) -> str:
+        coords = text.get(rank)
+        if coords is None:
+            coords = text[rank] = " ".join(map(str, vertex_from_rank(rank, spec)))
+        return coords
+
+    return render
 
 
 def emit_instance(dg: DemandGraph) -> str:
-    lines = [f"GRID {dg.spec.t} {dg.spec.n}", f"DEMANDS {len(dg.edges)}"]
-    for d in dg.edges:
-        coords = " ".join(str(c) for c in d.u + d.v)
-        lines.append(f"{d.id} {coords}")
+    spec, render = dg.spec, _renderer(dg.spec)
+    lines = [f"GRID {spec.t} {spec.n}", f"DEMANDS {len(dg.edges)}"]
+    for did, u, v in dg.edges:
+        lines.append(f"{did} {render(u)} {render(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -42,6 +59,13 @@ def _ints(tokens: list[str], line_no: int, what: str) -> list[int]:
         for token in tokens:
             _int(token, line_no, what)
         raise
+
+
+def _rank(coords: tuple[int, ...], spec: GridSpec, line_no: int) -> int:
+    try:
+        return vertex_rank(coords, spec)
+    except ValueError as exc:
+        raise FormatError(str(exc), line_no) from None
 
 
 def parse_instance(text: str) -> DemandGraph:
@@ -73,26 +97,23 @@ def parse_instance(text: str) -> DemandGraph:
                 offset,
             )
         values = _ints(tokens, offset, "coordinate")
-        did, coords = values[0], values[1:]
-        u, v = tuple(coords[:n]), tuple(coords[n:])
-        try:
-            spec.check_vertex(u)
-            spec.check_vertex(v)
-            edges.append(DemandEdge(did, u, v))
-        except ValueError as exc:
-            raise FormatError(str(exc), offset) from None
+        did, cu, cv = values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :])
+        u, v = _rank(cu, spec, offset), _rank(cv, spec, offset)
+        if u == v:
+            raise FormatError(f"demand {did} pairs vertex {cu!r} with itself", offset)
+        edges.append(DemandEdge(did, u, v))
     try:
         return DemandGraph(spec, tuple(edges))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def emit_routing(routing: Mapping[int, Trail]) -> str:
+def emit_routing(routing: Mapping[int, Trail], spec: GridSpec) -> str:
+    render = _renderer(spec)
     lines = [f"ROUTING {len(routing)}"]
     for did in sorted(routing):
         tr = routing[did]
-        verts = " | ".join(" ".join(str(c) for c in v) for v in tr.vertices)
-        lines.append(f"{did} {tr.length} {verts}")
+        lines.append(f"{did} {tr.length} {' | '.join(map(render, tr.vertices))}")
     return "\n".join(lines) + "\n"
 
 
@@ -108,6 +129,7 @@ def parse_routing(text: str, spec: GridSpec) -> dict[int, Trail]:
     m = _int(head[1], 1, "trail count")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} trails, file has {len(lines) - 1}")
+    t = spec.t
     routing: dict[int, Trail] = {}
     for offset, line in enumerate(lines[1:], start=2):
         segments = line.split("|")
@@ -124,10 +146,16 @@ def parse_routing(text: str, spec: GridSpec) -> dict[int, Trail]:
                     f"vertex needs {spec.n} coordinates, got {len(tokens)}", offset
                 )
             try:
-                vertices.append(tuple(map(int, tokens)))
+                coords = tuple(map(int, tokens))
             except ValueError:
                 _ints(tokens, offset, "coordinate")  # raises, naming the first bad token
                 raise
+            rank = 0
+            for c in coords:  # vertex_rank inlined: this loop runs once per trail vertex
+                if not 0 <= c < t:
+                    _rank(coords, spec, offset)  # raises, naming the coordinate
+                rank = rank * t + c
+            vertices.append(rank)
         if declared != len(vertices) - 1:
             raise FormatError(
                 f"declared length {declared} but trail has {len(vertices) - 1} edges",

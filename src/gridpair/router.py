@@ -9,7 +9,6 @@ column hop. Layers recurse one dimension down, columns and one-dimensional
 instances are solved directly on the complete graph, and the pieces are
 concatenated per original demand. Column and layer edge sets are pairwise
 disjoint, so edge-disjointness composes across subproblems.
-Coordinates appear only where `solve` reads its input and builds its result.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Hashable, Sequence
 
-from .demand import DemandGraph, RankDemand, choose_q, project, split_demands
+from .demand import DemandGraph, choose_q, project, split_demands
 from .errors import BaseSolverExhaustedError, ClaimViolationError
 from .factorization import group_factors, two_factorization
-from .grid import Trail, Vertex, vertex_from_rank, vertex_rank
+from .grid import Trail
 
 Routing = dict[int, Trail]
 
@@ -42,14 +41,14 @@ class RouteDiagnostics:
 
 
 def build_subproblems(
-    intra: Sequence[RankDemand],
-    cross: Sequence[RankDemand],
+    intra: Sequence[tuple[int, int, int]],
+    cross: Sequence[tuple[int, int, int]],
     edge_layer: Sequence[int],
     t: int,
     q: int,
     n: int,
     diagnostics: RouteDiagnostics | None = None,
-) -> tuple[list[list[RankDemand]], dict[int, list[RankDemand]]]:
+) -> tuple[list[list[tuple[int, int, int]]], dict[int, list[tuple[int, int, int]]]]:
     """Distribute the demands of K_t^n into t layer and per-column subproblems.
 
     cross[i] crosses in layer k = edge_layer[i] as (key, column of u, column
@@ -62,8 +61,8 @@ def build_subproblems(
     above q or a column above 2q raises ClaimViolationError, which always
     means an upstream bug.
     """
-    layers: list[list[RankDemand]] = [[] for _ in range(t)]
-    columns: defaultdict[int, list[RankDemand]] = defaultdict(list)
+    layers: list[list[tuple[int, int, int]]] = [[] for _ in range(t)]
+    columns: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
     # Endpoints as grid ranks: layer k's vertex c is grid vertex c*t + k.
     layer_ends: list[int] = []
     column_ends: list[int] = []
@@ -304,32 +303,24 @@ def solve(
     One-dimensional instances go straight to the complete-graph solver. In
     higher dimensions the cross-column demands are spread over layers by a
     2-factor decomposition, layers recurse, columns are solved directly, and
-    the pieces are concatenated per demand. Every trail starts at its
-    demand's u. The budget q comes from the maximum demand degree via
-    choose_q; `unchecked` skips its feasibility gate and only rounds the
-    degree up to even (best effort; the result is still worth verifying).
+    the pieces are concatenated per demand. Every trail is a sequence of
+    vertex ranks that starts at its demand's u. The budget q comes from the
+    maximum demand degree via choose_q; `unchecked` skips its feasibility
+    gate and only rounds the degree up to even (best effort; the result is
+    still worth verifying).
     """
     if not dg.edges:
         return {}
     spec, delta = dg.spec, dg.max_degree
     q = max(2, delta + delta % 2) if unchecked else choose_q(spec, delta)
-    demands = [(d.id, vertex_rank(d.u, spec), vertex_rank(d.v, spec)) for d in dg.edges]
-    trails = _solve_rec(spec.t, spec.n, demands, q, seed, diagnostics)
-    coords: dict[int, Vertex] = {}
-
-    def vertex(rank: int) -> Vertex:
-        v = coords.get(rank)
-        if v is None:
-            v = coords[rank] = vertex_from_rank(rank, spec)
-        return v
-
-    return {d.id: Trail(tuple(map(vertex, trails[d.id]))) for d in dg.edges}
+    trails = _solve_rec(spec.t, spec.n, dg.edges, q, seed, diagnostics)
+    return {d.id: Trail(tuple(trails[d.id])) for d in dg.edges}
 
 
 def _solve_rec(
     t: int,
     n: int,
-    demands: Sequence[RankDemand],
+    demands: Sequence[tuple[int, int, int]],
     q: int,
     seed: int,
     diagnostics: RouteDiagnostics | None,

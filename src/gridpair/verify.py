@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .demand import DemandEdge, DemandGraph
 from .errors import SizeLimitError
-from .grid import GridSpec, Trail, Vertex, edge_count, edge_rank
+from .grid import GridSpec, Trail, Vertex, edge_count, vertex_from_rank
 
 _ORACLE_MAX_EDGES = 100
 _ORACLE_MAX_DEMANDS = 8
@@ -56,26 +56,16 @@ def degree_ratio(spec: GridSpec) -> tuple[float, float]:
     return (spec.t - 1) / log_t, spec.t / log_t
 
 
-def _first_bad_vertex(vertices: Sequence[Vertex], spec: GridSpec) -> Vertex | None:
-    """The first vertex that is not an n-tuple over [0, t), or None."""
-    n, t = spec.n, spec.t
-    for v in vertices:
-        if len(v) != n:
-            return v
-        for c in v:
-            if not 0 <= c < t:
-                return v
-    return None
-
-
 def verify(
     spec: GridSpec, dg: DemandGraph, routing: Mapping[int, Trail]
 ) -> VerificationReport:
-    """Certify a routing against its demands.
+    """Certify a routing of vertex-rank trails against its demands.
 
-    Checks, from the trails alone: demand-id coverage, endpoint agreement,
-    step adjacency, and that no grid edge is used more than once across all
-    trails combined (repeats within a single trail included).
+    Checks, from the trails alone: demand-id coverage, vertex ranks in
+    [0, t^n), endpoint agreement, step adjacency, and that no grid edge is
+    used more than once across all trails combined (repeats within a single
+    trail included). Adjacency comes from the ranks' base-t digits, not from
+    the router; violation details name vertices by their coordinates.
     """
     violations: list[Violation] = []
     by_id = {d.id: d for d in dg.edges}
@@ -84,21 +74,30 @@ def verify(
     for did in sorted(set(routing) - set(by_id)):
         violations.append(Violation("EXTRA_TRAIL", (did,), "trail without a demand"))
 
-    total = edge_count(spec)
-    first_use: dict[int, tuple[Vertex, Vertex, int]] = {}  # endpoints and first trail
+    t, size = spec.t, spec.num_vertices
+    # Ranks lo < hi differ in exactly one digit, digit d, iff hi - lo = k * t^d
+    # with 0 < k < t and both lie in one block of t^(d+1) consecutive ranks;
+    # the digits below d then agree as well. Maps hi - lo to that block size.
+    block = {k * t**d: t ** (d + 1) for d in range(spec.n) for k in range(1, t)}
+    first_use: dict[int, tuple[int, int, int]] = {}  # endpoints and first trail per edge
     repeats: dict[int, int] = {}  # uses of each edge taken more than once
     shared: dict[int, list[int]] = {}  # trails of each edge that more than one trail takes
     histogram: dict[int, int] = {}
     max_len = 0
+
+    def coords(rank: int) -> Vertex:
+        return vertex_from_rank(rank, spec)
+
     for did in sorted(routing):
-        tr = routing[did]
-        vs = tr.vertices
+        vs = routing[did].vertices
         length = len(vs) - 1
         histogram[length] = histogram.get(length, 0) + 1
         max_len = max(max_len, length)
-        bad_vertex = _first_bad_vertex(vs, spec)
-        if bad_vertex is not None:
-            violations.append(Violation("BAD_VERTEX", (did,), f"vertex {bad_vertex!r}"))
+        if min(vs) < 0 or max(vs) >= size:
+            bad = next(r for r in vs if not 0 <= r < size)
+            violations.append(
+                Violation("BAD_VERTEX", (did,), f"vertex rank {bad} outside [0, {size})")
+            )
             continue
         d = by_id.get(did)
         if d is not None and (vs[0], vs[-1]) not in ((d.u, d.v), (d.v, d.u)):
@@ -106,31 +105,47 @@ def verify(
                 Violation(
                     "ENDPOINT_MISMATCH",
                     (did,),
-                    f"trail ends {tr.ends!r}, demand joins ({d.u!r}, {d.v!r})",
+                    f"trail ends ({coords(vs[0])!r}, {coords(vs[-1])!r}), "
+                    f"demand joins ({coords(d.u)!r}, {coords(d.v)!r})",
                 )
             )
         for u, v in zip(vs, vs[1:]):
-            try:
-                rank = edge_rank(u, v, spec)
-            except ValueError:  # the step changes no coordinate, or more than one
-                violations.append(Violation("NOT_AN_EDGE", (did,), f"step {u!r} -> {v!r}"))
+            lo, hi = (u, v) if u < v else (v, u)
+            span = block.get(hi - lo)
+            if span is None or lo // span != hi // span:
+                violations.append(
+                    Violation("NOT_AN_EDGE", (did,), f"step {coords(u)!r} -> {coords(v)!r}")
+                )
                 continue
-            first_ends = first_use.get(rank)
+            key = lo * size + hi
+            first_ends = first_use.get(key)
             if first_ends is None:
-                first_use[rank] = (u, v, did)
+                first_use[key] = (u, v, did)
                 continue
-            repeats[rank] = repeats.get(rank, 1) + 1
+            repeats[key] = repeats.get(key, 1) + 1
             first = first_ends[2]
             if first != did:
-                users = shared.setdefault(rank, [first])
+                users = shared.setdefault(key, [first])
                 if users[-1] != did:  # trails run in id order, so each is listed once
                     users.append(did)
 
-    for rank in sorted(repeats):
-        u, v, first = first_use[rank]
-        users = tuple(shared.get(rank, (first,)))
+    def grid_order(key: int) -> tuple[int, int, int]:
+        """Report order: the coordinate the edge varies (the first coordinate
+        first), then its fixed coordinates, then its ends."""
+        lo, hi = divmod(key, size)
+        span = block[hi - lo]
+        place = span // t
+        return -place, lo // span * place + lo % place, key
+
+    for key in sorted(repeats, key=grid_order):
+        u, v, first = first_use[key]
+        users = tuple(shared.get(key, (first,)))
         violations.append(
-            Violation("DUPLICATE_EDGE", users, f"edge {u!r} -- {v!r} used {repeats[rank]} times")
+            Violation(
+                "DUPLICATE_EDGE",
+                users,
+                f"edge {coords(u)!r} -- {coords(v)!r} used {repeats[key]} times",
+            )
         )
 
     exact, tn_convention = degree_ratio(spec)
@@ -138,7 +153,7 @@ def verify(
         length_histogram=histogram,
         max_trail_length=max_len,
         edges_used=len(first_use),
-        edges_total=total,
+        edges_total=edge_count(spec),
         degree_ratio_exact=exact,
         degree_ratio_tn=tn_convention,
     )
@@ -161,22 +176,25 @@ def oracle_solve(
             f"instance has {total} edges / {len(demands)} demands; oracle handles "
             f"at most {_ORACLE_MAX_EDGES} edges and {_ORACLE_MAX_DEMANDS} demands"
         )
+    size = spec.num_vertices
     for d in demands:
-        spec.check_vertex(d.u)
-        spec.check_vertex(d.v)
-    verts = list(spec.vertices())
-    neighbors: dict[Vertex, list[Vertex]] = {
-        v: [w for w in verts if sum(a != b for a, b in zip(v, w)) == 1] for v in verts
+        if not (0 <= d.u < size and 0 <= d.v < size):
+            raise ValueError(f"demand {d.id}: vertex rank outside [0, {size})")
+    t = spec.t
+    places = [t**i for i in range(spec.n)]
+    neighbors = {
+        v: sorted(v + (b - v // w % t) * w for w in places for b in range(t) if b != v // w % t)
+        for v in range(size)
     }
-    catalog: dict[tuple[Vertex, Vertex], list[tuple[int, tuple[Vertex, ...]]]] = {}
+    catalog: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
 
-    def trails(u: Vertex, v: Vertex) -> list[tuple[int, tuple[Vertex, ...]]]:
+    def trails(u: int, v: int) -> list[tuple[int, tuple[int, ...]]]:
         found = catalog.get((u, v))
         if found is not None:
             return found
         found = []
 
-        def walk(x: Vertex, mask: int, path: tuple[Vertex, ...]) -> None:
+        def walk(x: int, mask: int, path: tuple[int, ...]) -> None:
             if x == v and len(path) > 1:
                 # Continuations past v only burn extra edges; prefixes suffice.
                 found.append((mask, path))
@@ -184,7 +202,7 @@ def oracle_solve(
             if len(path) - 1 == _ORACLE_TRAIL_CAP:
                 return
             for w in neighbors[x]:
-                bit = 1 << edge_rank(x, w, spec)
+                bit = 1 << (x * size + w if x < w else w * size + x)
                 if mask & bit:
                     continue
                 walk(w, mask | bit, path + (w,))
@@ -194,7 +212,7 @@ def oracle_solve(
         catalog[(u, v)] = found
         return found
 
-    chosen: dict[int, tuple[Vertex, ...]] = {}
+    chosen: dict[int, tuple[int, ...]] = {}
 
     def place(i: int, used_mask: int) -> bool:
         if i == len(demands):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
-from gridpair import DemandGraph, GridSpec, Trail, vertex_rank
+from gridpair import GridSpec, Trail
 
 
 def random_regular_multigraph(
@@ -42,17 +42,17 @@ def assert_padded_factorization(nv: int, edges, k: int, factors: list[list[int]]
 
 
 def wrap_complete_routing(trails: dict) -> dict[int, Trail]:
-    """Lift integer trails from the complete-graph solver into 1-tuple grid trails."""
-    return {key: Trail(tuple((x,) for x in verts)) for key, verts in trails.items()}
+    """Trails from the complete-graph solver as grid trails: on K_t^1 a vertex is its rank."""
+    return {key: Trail(tuple(verts)) for key, verts in trails.items()}
 
 
-def demand_graph_from_int_pairs(t: int, pairs: list[tuple[int, int]]) -> DemandGraph:
-    spec = GridSpec(t, 1)
-    from gridpair import from_pairing
-
-    return from_pairing(spec, [((x,), (y,)) for x, y in pairs])
-
-
-def rank_demands(dg: DemandGraph) -> list[tuple[int, int, int]]:
-    """The router's (id, u rank, v rank) form of a demand graph."""
-    return [(d.id, vertex_rank(d.u, dg.spec), vertex_rank(d.v, dg.spec)) for d in dg.edges]
+def grid_edges(spec: GridSpec):
+    """Every edge of K_t^n once, as (lower rank, higher rank): the ranks differ in one digit."""
+    t = spec.t
+    for u in range(spec.num_vertices):
+        place = 1
+        for _ in range(spec.n):
+            digit = u // place % t
+            for b in range(digit + 1, t):
+                yield u, u + (b - digit) * place
+            place *= t

@@ -23,7 +23,6 @@ from gridpair import (
     VerificationReport,
     degree_ratio,
     edge_count,
-    edges,
     from_pairing,
     oracle_solve,
     random_demand_multigraph,
@@ -35,7 +34,7 @@ from gridpair import (
 )
 from gridpair.cli import main as cli_main
 from gridpair.errors import BaseSolverExhaustedError
-from helpers import random_regular_multigraph, wrap_complete_routing
+from helpers import grid_edges, random_regular_multigraph, wrap_complete_routing
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -87,7 +86,7 @@ def multigraph_runs() -> list[PipelineRun]:
 
 
 def test_criterion_1_pairings_route_at_scale(pairing_runs):
-    listed = sum(1 for _ in edges(GridSpec(18, 3)))
+    listed = sum(1 for _ in grid_edges(GridSpec(18, 3)))
     assert edge_count(GridSpec(18, 3)) == listed == 148716
     bad = [(r.n, r.seed) for r in pairing_runs if not r.report.ok]
     coverage = all(r.demand_count == 18**r.n // 2 for r in pairing_runs)
@@ -151,7 +150,7 @@ def test_criterion_5_base_solver_reliability():
     for seed in range(1000):
         rng = Random(f"base/{seed}")
         pairs = random_demand_multigraph(spec, 4, rng)
-        flat = [(i, u[0], v[0]) for i, (u, v) in enumerate(pairs)]
+        flat = [(i, u, v) for i, (u, v) in enumerate(pairs)]
         try:
             out = solve_complete(18, flat, Random(seed))
         except BaseSolverExhaustedError:
@@ -182,7 +181,7 @@ def test_criterion_6_oracle_consistency():
         for m in range(0, 6):
             for combo in combinations_with_replacement(pair_types, m):
                 instances += 1
-                demands = [DemandEdge(i, (x,), (y,)) for i, (x, y) in enumerate(combo)]
+                demands = [DemandEdge(i, x, y) for i, (x, y) in enumerate(combo)]
                 expected = oracle_solve(spec, demands)
                 flat = [(i, x, y) for i, (x, y) in enumerate(combo)]
                 try:

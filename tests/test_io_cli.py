@@ -39,7 +39,7 @@ def test_routing_roundtrip():
     spec = GridSpec(18, 2)
     dg = from_pairing(spec, random_pairing(spec, Random(1)))
     routing = solve(dg, seed=1)
-    assert parse_routing(emit_routing(routing), spec) == routing
+    assert parse_routing(emit_routing(routing, spec), spec) == routing
 
 
 def test_parse_instance_diagnostics():
@@ -73,6 +73,12 @@ def test_parse_routing_diagnostics():
         parse_routing("ROUTING 1\n0 2 0 x | 0 | 1 1\n", spec)
     with pytest.raises(FormatError, match=r"vertex needs 2 coordinates, got 1$"):
         parse_routing("ROUTING 1\n0 2 0 0 | 0 | 1 x\n", spec)
+    # every coordinate is range-checked as the vertex is ranked
+    outside = r"^line 3: vertex \(0, 3\): coordinate 3 outside \[0, 3\)$"
+    with pytest.raises(FormatError, match=outside):
+        parse_routing("ROUTING 2\n0 1 0 0 | 0 1\n1 1 0 2 | 0 3\n", spec)
+    with pytest.raises(FormatError, match=r"^line 2: vertex \(-1, 0\): coordinate -1"):
+        parse_routing("ROUTING 1\n0 1 -1 0 | 0 0\n", spec)
 
 
 def test_gen_pairing_cli(tmp_path, capsys):
@@ -81,7 +87,7 @@ def test_gen_pairing_cli(tmp_path, capsys):
     dg = parse_instance(out.read_text())
     assert len(dg.edges) == 9
     covered = sorted(v for d in dg.edges for v in (d.u, d.v))
-    assert covered == sorted(GridSpec(18, 1).vertices())
+    assert covered == list(range(18))
 
 
 def test_gen_multigraph_cli(tmp_path):
@@ -140,9 +146,11 @@ def test_route_exit_codes(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("gridpair.cli.solve", unreachable_solve)
         assert main(["route", str(inst), unwritable, "--unchecked"]) == 5
+        assert main(["route", str(inst), str(tmp_path), "--unchecked"]) == 5  # a directory
     assert main(["gen", "18", "1", "-o", unwritable]) == 5
     err = capsys.readouterr().err
-    assert err.count("error: ") == 5
+    assert err.count("error: ") == 6
+    assert f"cannot write {tmp_path}: it is a directory" in err
     assert "not UTF-8" in err
     assert "Traceback" not in err
 
@@ -203,6 +211,24 @@ def test_verify_detects_tampered_endpoint(tmp_path, capsys):
     routed.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(inst), str(routed)]) == 1
     assert "ENDPOINT_MISMATCH" in capsys.readouterr().out
+
+
+def test_out_of_range_routing_coordinate_is_a_format_error(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    routed = tmp_path / "routing.txt"
+    main(["gen", "18", "2", "--seed", "3", "-o", str(inst)])
+    main(["route", str(inst), str(routed), "--seed", "5"])
+    lines = routed.read_text().splitlines()
+    head, length, rest = lines[2].split(" ", 2)
+    lines[2] = f"{head} {length} 18 0 | {rest.split(' | ', 1)[1]}"  # coordinate 18 on K_18^2
+    routed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for command in ("verify", "stats"):
+        assert main([command, str(inst), str(routed)]) == 5
+    err = capsys.readouterr().err
+    message = f"error: {routed}: line 3: vertex (18, 0): coordinate 18 outside [0, 18)"
+    assert err.count(message) == 2
+    assert "Traceback" not in err
 
 
 def test_verify_detects_duplicated_trail_line(tmp_path, capsys):
@@ -288,7 +314,7 @@ def test_instance_roundtrip_with_sparse_ids():
     spec = GridSpec(18, 1)
     from gridpair import DemandEdge, DemandGraph
 
-    dg = DemandGraph(spec, (DemandEdge(7, (0,), (1,)), DemandEdge(3, (2,), (5,))))
+    dg = DemandGraph(spec, (DemandEdge(7, 0, 1), DemandEdge(3, 2, 5)))
     assert parse_instance(emit_instance(dg)) == dg
 
 

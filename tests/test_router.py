@@ -12,7 +12,6 @@ from gridpair import (
     RouteDiagnostics,
     Trail,
     build_subproblems,
-    euler_orient,
     from_pairing,
     group_factors,
     oracle_solve,
@@ -25,8 +24,8 @@ from gridpair import (
     split_demands,
     two_factorization,
     verify,
-    vertex_from_rank,
 )
+from gridpair import factorization
 from gridpair.errors import BaseSolverExhaustedError, ClaimViolationError
 from helpers import wrap_complete_routing
 
@@ -111,9 +110,9 @@ def test_solve_complete_direct_edges():
 def test_solve_complete_parallel_demands():
     out = solve_complete(4, [(0, 0, 1), (1, 0, 1)], Random(0))
     spec = GridSpec(4, 1)
-    demands = [DemandEdge(0, (0,), (1,)), DemandEdge(1, (0,), (1,))]
+    demands = [DemandEdge(0, 0, 1), DemandEdge(1, 0, 1)]
     assert oracle_solve(spec, demands) is not None
-    dg = from_pairing(spec, [((0,), (1,)), ((0,), (1,))])
+    dg = from_pairing(spec, [(0, 1), (0, 1)])
     report = verify(spec, dg, wrap_complete_routing(out))
     assert report.ok
 
@@ -135,7 +134,7 @@ def test_solve_complete_k18_degree_4_sample():
     spec = GridSpec(18, 1)
     for seed in range(25):
         pairs = random_demand_multigraph(spec, 4, Random(seed))
-        demands = [(i, u[0], v[0]) for i, (u, v) in enumerate(pairs)]
+        demands = [(i, u, v) for i, (u, v) in enumerate(pairs)]
         out = solve_complete(18, demands, Random(seed))
         assert all(len(tr) - 1 <= 3 for tr in out.values())
         dg = from_pairing(spec, pairs)
@@ -152,16 +151,23 @@ def _route_one(u, v) -> Trail:
     return solve(DemandGraph(GridSpec(18, 2), (DemandEdge(0, u, v),)))[0]
 
 
+def _at(c: int, x: int) -> int:
+    """Rank of vertex (c, x) of K_18^2: vertex x of column c, in layer x."""
+    return c * 18 + x
+
+
 def test_stitch_degenerate_connectors():
     k = _layer_of_crossing(5, 9)
-    assert _route_one((5, k), (9, k)) == Trail(((5, k), (9, k)))
+    assert _route_one(_at(5, k), _at(9, k)) == Trail((_at(5, k), _at(9, k)))
 
 
 def test_stitch_concatenates_and_orients():
     for cu, cv in ((5, 9), (9, 5)):
         k = _layer_of_crossing(cu, cv)
         i, j = (k + 1) % 18, (k + 3) % 18
-        assert _route_one((cu, i), (cv, j)) == Trail(((cu, i), (cu, k), (cv, k), (cv, j)))
+        assert _route_one(_at(cu, i), _at(cv, j)) == Trail(
+            (_at(cu, i), _at(cu, k), _at(cv, k), _at(cv, j))
+        )
 
 
 def test_solve_empty_demands():
@@ -257,7 +263,7 @@ def test_factorization_size_follows_the_cross_demands(monkeypatch):
     monkeypatch.setattr("gridpair.router.two_factorization", recording_two_factorization)
     spec = GridSpec(18, 4)
     rng = Random(5)
-    verts = [vertex_from_rank(r, spec) for r in rng.sample(range(spec.num_vertices), 100)]
+    verts = rng.sample(range(spec.num_vertices), 100)
     dg = from_pairing(spec, list(zip(verts[::2], verts[1::2])))
     assert verify(spec, dg, solve(dg, seed=5)).ok
     assert {n for n, _, _ in sizes} == {2, 3, 4}
@@ -274,16 +280,18 @@ def test_euler_walks_visit_real_edges_only(monkeypatch):
         walks.append((-1, len(cross) + 2 * len(active)))
         return active, edges
 
-    def recording_euler_orient(num_vertices, edges):
+    euler_walk = factorization._euler_walk
+
+    def recording_euler_walk(num_vertices, edges):
         walks.append((len(edges), walks[-1][1]))
-        return euler_orient(num_vertices, edges)
+        return euler_walk(num_vertices, edges)
 
     monkeypatch.setattr("gridpair.router.project", recording_project)
-    monkeypatch.setattr("gridpair.factorization.euler_orient", recording_euler_orient)
+    monkeypatch.setattr("gridpair.factorization._euler_walk", recording_euler_walk)
     # the golden sparse_t18_n4_m50 instance: 50 demands on K_18^4, seed 105
     spec = GridSpec(18, 4)
     rng = Random(105)
-    verts = [vertex_from_rank(r, spec) for r in rng.sample(range(spec.num_vertices), 100)]
+    verts = rng.sample(range(spec.num_vertices), 100)
     dg = from_pairing(spec, list(zip(verts[::2], verts[1::2])))
     assert verify(spec, dg, solve(dg, seed=105)).ok
     over = [(walked, bound) for walked, bound in walks if walked > bound]
@@ -293,7 +301,7 @@ def test_euler_walks_visit_real_edges_only(monkeypatch):
 
 def test_one_demand_on_k24_5_routes_quickly():
     spec = GridSpec(24, 5)
-    dg = from_pairing(spec, [((0,) * 5, (23,) * 5)])
+    dg = from_pairing(spec, [(0, spec.num_vertices - 1)])  # (0, ..., 0) -- (23, ..., 23)
     start = time.perf_counter()
     routing = solve(dg)
     assert verify(spec, dg, routing).ok
@@ -301,9 +309,9 @@ def test_one_demand_on_k24_5_routes_quickly():
 
 
 def test_shorten_trail_removes_cycles():
-    tr = Trail(((0,), (1,), (2,), (1,), (3,)))
-    assert shorten_trail(tr) == Trail(((0,), (1,), (3,)))
-    simple = Trail(((0,), (2,), (3,)))
+    tr = Trail((0, 1, 2, 1, 3))
+    assert shorten_trail(tr) == Trail((0, 1, 3))
+    simple = Trail((0, 2, 3))
     assert shorten_trail(simple) == simple
 
 
