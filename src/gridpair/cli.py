@@ -220,6 +220,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         spec = GridSpec(args.t, args.n)
     except ValueError as exc:
         return _fail(str(exc), EXIT_FORMAT)
+    if args.seeds < 1:
+        return _fail(f"--seeds must be >= 1, got {args.seeds}", EXIT_FORMAT)
     base_seed = _resolve_seed(args)
     all_ok = True
     times = []
@@ -246,12 +248,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"max trail {report.stats.max_trail_length}, "
             f"verify {'ok' if report.ok else 'FAILED'}"
         )
-    if times:
-        print(
-            f"summary: {args.seeds} runs on K_{spec.t}^{spec.n}, "
-            f"mean {sum(times) / len(times) * 1000:.1f} ms, "
-            f"max {max(times) * 1000:.1f} ms"
-        )
+    print(
+        f"summary: {args.seeds} runs on K_{spec.t}^{spec.n}, "
+        f"mean {sum(times) / len(times) * 1000:.1f} ms, "
+        f"max {max(times) * 1000:.1f} ms"
+    )
     return EXIT_OK if all_ok else EXIT_BUG
 
 

@@ -4,8 +4,8 @@ A demand asks for a trail between two grid vertices, held as a DemandEdge
 (id, u rank, v rank); the router's subproblems are plain triples of that form.
 Cross-column demands are projected onto the active columns (those that
 some cross demand touches) to form an auxiliary multigraph of maximum
-degree at most t*q; `two_factorization` pads it to t*q-regular itself and
-splits it into t*q/2 factors. Inactive columns are left out, so the work
+degree at most t*q, which `two_factorization` splits into t*q/2 factors
+of degree at most 2. Inactive columns are left out, so the work
 follows the demands rather than the t^(n-1) columns of the grid.
 """
 

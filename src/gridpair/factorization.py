@@ -1,21 +1,19 @@
 """Constructive 2-factor decomposition of multigraphs of bounded degree.
 
-The classical recipe: pad the graph to 2k-regular, orient each component
-along an Euler circuit, form the out/in bipartite double cover (one
-bipartite edge per original edge), split that k-regular bipartite
-multigraph into k perfect matchings, and read each matching back as a
-spanning 2-regular subgraph. Padding that is a loop is never materialized:
-a loop is one out- and one in-arc of its own vertex, so it is carried as a
-count per vertex through the Euler splits and the matching peels, and only
-the real edges (plus at most one dummy edge per two odd-degree vertices)
-are walked. Everything is deterministic for a fixed edge ordering; edge
+Petersen's recipe in two steps: orient each component along an Euler
+circuit, so every vertex has as many out-arcs as in-arcs, then properly
+k-edge-colour the out/in bipartite double cover (one bipartite edge per arc
+tail -> head; König's theorem guarantees k colours suffice). A colour class
+picks at most one out-arc and one in-arc per vertex, so it is a 2-factor.
+Padding is only for the walk: odd-degree vertices are joined in pairs by
+dummy edges so that Euler circuits exist, and the dummies are never
+coloured. Everything is deterministic for a fixed edge ordering; edge
 identity is the index into the edge list, so parallel edges and loops are
 never conflated.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 
@@ -69,12 +67,12 @@ def two_factorization(
 ) -> list[list[int]]:
     """Split a multigraph of maximum degree <= 2k into k factors, as sorted edge ids.
 
-    The graph is padded to 2k-regular first: the odd-degree vertices are
-    joined in pairs in rank order (dummy edges, ids from len(edges) on), and
-    every remaining deficiency becomes loops, kept as a count per vertex.
-    Each factor is a 2-factor of the padded graph with its padding left
-    out, so it adds at most 2 to any degree and exactly 2 at a vertex of
-    degree 2k. A graph that is already 2k-regular is not padded.
+    The odd-degree vertices are joined in pairs in rank order by dummy
+    edges, the result is oriented along Euler circuits, and the real arcs
+    (tail, head) are k-edge-coloured as a bipartite graph of out- and
+    in-copies. Each colour class is one factor: it adds at most 2 to any
+    degree, and exactly 2 at a vertex of degree 2k, whose out- and in-copy
+    both have degree k and so see every colour once.
     """
     if k < 1:
         raise ValueError(f"factor count must be >= 1, got {k}")
@@ -89,29 +87,10 @@ def two_factorization(
         raise ValueError(f"vertex {over[0]} has degree {deg[over[0]]} > {2 * k}")
     odd = [v for v, d in enumerate(deg) if d % 2]  # even count: degrees sum to 2|E|
     host = [*edges, *zip(odd[::2], odd[1::2])] if odd else edges
-    for v in odd:
-        deg[v] += 1
-    loops = [k - d // 2 for d in deg]
     tails = _euler_walk(num_vertices, host)  # in range (checked above), even (padded)
-    # A loop is one out- and one in-arc of its vertex, so with the loops a
-    # vertex of out-degree k - loops[v] has degree 2k.
-    out = [0] * num_vertices
-    for tail in tails:
-        out[tail] += 1
-    bad = [v for v in range(num_vertices) if out[v] + loops[v] != k]
-    if bad:
-        raise ValueError(
-            f"graph is not {2 * k}-regular after padding: vertex {bad[0]} has "
-            f"degree {2 * (out[bad[0]] + loops[bad[0]])}"
-        )
-    # Arc tail -> head becomes a bipartite edge between the tail's out-copy and
-    # the head's in-copy; a loop joins v's out-copy to its own in-copy. A perfect
-    # matching picks one out-arc and one in-arc per vertex: degree 2. Arcs and
-    # loops together are k-regular on both sides.
-    arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, host)]
-    matchings = _decompose(num_vertices, num_vertices, arcs, list(range(len(arcs))), loops, k)
-    real = len(edges)
-    return [sorted(i for i in m if i < real) for m in matchings]
+    # zip stops at the real edges: out- and in-degree are each at most k.
+    arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, edges)]
+    return _edge_colouring(num_vertices, arcs, k)
 
 
 def bipartite_matching_decomposition(
@@ -122,9 +101,8 @@ def bipartite_matching_decomposition(
 ) -> list[list[int]]:
     """Split a k-regular bipartite multigraph into k perfect matchings.
 
-    Returns edge-index lists. Even regularity is halved along Euler circuits;
-    odd regularity peels one matching by augmenting paths and recurses on the
-    remainder.
+    Returns ascending edge-index lists: the colour classes of a proper
+    k-edge-colouring, each of which meets every vertex once.
     """
     if k < 1:
         raise ValueError(f"regularity must be >= 1, got {k}")
@@ -137,126 +115,47 @@ def bipartite_matching_decomposition(
         deg_r[r] += 1
     if any(d != k for d in deg_l) or any(d != k for d in deg_r):
         raise ValueError(f"graph is not {k}-regular on both sides")
-    return _decompose(num_left, num_right, edges, list(range(len(edges))), [0] * num_left, k)
+    return _edge_colouring(num_left, edges, k)
 
 
-def _decompose(
-    num_left: int,
-    num_right: int,
-    edges: Sequence[tuple[int, int]],
-    idxs: list[int],
-    loops: list[int],
-    k: int,
-) -> list[list[int]]:
-    """k perfect matchings of edges[idxs] plus loops[v] copies of (v, v), loops left out.
+def _edge_colouring(num_left: int, edges: Sequence[tuple[int, int]], k: int) -> list[list[int]]:
+    """Colour classes of a proper k-edge-colouring of a bipartite multigraph, degree <= k.
 
-    Loops appear only when both sides are the same vertex set, as in the
-    double cover; they are counted, never listed.
+    Edge (x, y) joins left vertex x to right vertex y, numbered num_left + y
+    here. Edges are coloured in order, each by the first colour free at both
+    ends if there is one. Otherwise a is free at x and b at y, and the a/b
+    path that leaves y by a cannot reach x (it enters left vertices by a):
+    swapping its colours frees a at y for the edge. Each vertex keeps a dict
+    colour -> edge id, so memory grows with the edges, not with k.
     """
-    if not idxs:
-        return [[] for _ in range(k)]  # only loops are left: each matching is loops alone
-    if k == 1:
-        return [idxs]
-    if k % 2 == 0:
-        # Orient the cover's Euler circuits; left-to-right arcs form one
-        # (k/2)-regular half, right-to-left arcs the other. Each half takes
-        # half of a vertex's loops; an odd one is walked, and its direction
-        # says which half gains it.
-        odd = [v for v, c in enumerate(loops) if c % 2]
-        tails = _euler_walk(
-            num_left + num_right,
-            [(edges[i][0], num_left + edges[i][1]) for i in idxs]
-            + [(v, num_left + v) for v in odd],
-        )
-        forward = [i for i, tail in zip(idxs, tails) if tail < num_left]
-        backward = [i for i, tail in zip(idxs, tails) if tail >= num_left]
-        loops_f = [c // 2 for c in loops]
-        loops_b = loops_f.copy()
-        for v, tail in zip(odd, tails[len(idxs) :]):
-            (loops_f if tail < num_left else loops_b)[v] += 1
-        return _decompose(num_left, num_right, edges, forward, loops_f, k // 2) + _decompose(
-            num_left, num_right, edges, backward, loops_b, k // 2
-        )
-    matching, loops_rest = _peel_matching(num_left, num_right, edges, idxs, loops)
-    taken = set(matching)
-    rest = [i for i in idxs if i not in taken]
-    return [matching] + _decompose(num_left, num_right, edges, rest, loops_rest, k - 1)
-
-
-def _peel_matching(
-    num_left: int,
-    num_right: int,
-    edges: Sequence[tuple[int, int]],
-    idxs: list[int],
-    loops: list[int],
-) -> tuple[list[int], list[int]]:
-    """One perfect matching of a regular bipartite multigraph, via Hopcroft-Karp.
-
-    The loops already match each v that has one to its own right copy, so the
-    search starts from that partial matching and augments from the other
-    left vertices. Returns the matching's edge indices and the loop counts
-    that remain.
-    """
-    loop = len(edges)  # candidate id loop + v stands for one of v's loops
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(num_left)]
-    for i in idxs:
-        l, r = edges[i]
-        adj[l].append((i, r))
-    match_l = [-1] * num_left  # edge index matched at each left vertex
-    owner_r = [-1] * num_right  # left endpoint of the matched edge at each right vertex
-    matched = 0
-    for v, c in enumerate(loops):
-        if c:
-            adj[v].append((loop + v, v))
-            match_l[v] = loop + v
-            owner_r[v] = v
-            matched += 1
-    dist = [-1] * num_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for l in range(num_left):
-            if match_l[l] == -1:
-                dist[l] = 0
-                queue.append(l)
-            else:
-                dist[l] = -1
-        reachable_free = False
-        while queue:
-            l = queue.popleft()
-            for _, r in adj[l]:
-                l2 = owner_r[r]
-                if l2 == -1:
-                    reachable_free = True
-                elif dist[l2] == -1:
-                    dist[l2] = dist[l] + 1
-                    queue.append(l2)
-        return reachable_free
-
-    def dfs(l: int) -> bool:
-        for i, r in adj[l]:
-            l2 = owner_r[r]
-            if l2 == -1 or (dist[l2] == dist[l] + 1 and dfs(l2)):
-                match_l[l] = i
-                owner_r[r] = l
-                return True
-        dist[l] = -1
-        return False
-
-    while matched < num_left and bfs():
-        for l in range(num_left):
-            if match_l[l] == -1 and dfs(l):
-                matched += 1
-    if matched != num_left:
-        raise RuntimeError("regular bipartite multigraph without a perfect matching: bug")
-    loops_rest = loops.copy()
-    matching = []
-    for i in match_l:
-        if i >= loop:
-            loops_rest[i - loop] -= 1
+    num_right = 1 + max((y for _, y in edges), default=-1)
+    at: list[dict[int, int]] = [{} for _ in range(num_left + num_right)]
+    colour = [0] * len(edges)
+    for eid, (x, y) in enumerate(edges):
+        at_x, at_y = at[x], at[num_left + y]
+        for a in range(k):
+            if a not in at_x and a not in at_y:
+                break
         else:
-            matching.append(i)
-    return sorted(matching), loops_rest
+            a = next(c for c in range(k) if c not in at_x)
+            b = next(c for c in range(k) if c not in at_y)
+            path, v, c = [], num_left + y, a
+            while c in at[v]:
+                e = at[v][c]
+                path.append(e)
+                v = edges[e][0] if v >= num_left else num_left + edges[e][1]
+                c = a + b - c
+            for e in path:
+                del at[edges[e][0]][colour[e]], at[num_left + edges[e][1]][colour[e]]
+            for e in path:
+                colour[e] = c = a + b - colour[e]
+                at[edges[e][0]][c] = at[num_left + edges[e][1]][c] = e
+        colour[eid] = a
+        at_x[a] = at_y[a] = eid
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for eid, c in enumerate(colour):
+        classes[c].append(eid)
+    return classes
 
 
 def group_factors(factors: Sequence[Sequence[int]], q: int, t: int) -> list[int]:

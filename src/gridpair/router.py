@@ -3,9 +3,9 @@
 The engine works on vertex ranks (mixed radix, last coordinate least
 significant), so rank r of K_t^n lies in column r // t and layer r % t.
 Cross-column demands are rerouted through a layer chosen by 2-factorizing the
-projection onto the active columns (`two_factorization` pads it to
-t*q-regular): each becomes a column hop, a layer crossing, and a second
-column hop. Layers recurse one dimension down, columns and one-dimensional
+projection onto the active columns into t*q/2 factors (`two_factorization`)
+and grouping q/2 of them per layer: each becomes a column hop, a layer
+crossing, and a second column hop. Layers recurse one dimension down, columns and one-dimensional
 instances are solved directly on the complete graph, and the pieces are
 concatenated per original demand. Column and layer edge sets are pairwise
 disjoint, so edge-disjointness composes across subproblems.

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -143,6 +144,17 @@ def test_two_factorization_pads_bounded_degree_graphs(seed, k, nv, isolated):
     assert_padded_factorization(num_vertices, edges, k, factors)
 
 
+def test_two_factorization_star_with_many_factors():
+    # 500 edges, 10^5 factors: the colour table must grow with the edges, not
+    # with k (a dense table would hold 10^8 slots)
+    edges = [(0, i) for i in range(1, 501)]
+    start = time.perf_counter()
+    factors = two_factorization(501, edges, 10**5)
+    elapsed = time.perf_counter() - start
+    assert_padded_factorization(501, edges, 10**5, factors)
+    assert elapsed < 1.0, f"two_factorization took {elapsed:.2f} s"
+
+
 def test_matching_decomposition_1_regular_identity():
     edges = ((0, 1), (1, 0), (2, 2))
     out = bipartite_matching_decomposition(3, 3, edges, 1)
@@ -236,14 +248,14 @@ def test_grouped_layers_respect_degree_budget(seed, q, t):
         assert max(deg.values()) <= q
 
 
-# (vertices, k, seed): 2k-regular configuration-model graphs. k = 3 and 9 peel
-# a matching first; k = 6 and the even remainders split along Euler circuits.
+# (vertices, k, seed): 2k-regular configuration-model graphs, loops and
+# parallel edges included, so the colouring meets alternating-path swaps.
 FACTOR_GOLDEN = {
-    (18, 3, 1): "e532264dec4b86734211f2093b180446ef0919051aa98f0fcc3385976b546185",
-    (30, 6, 2): "a309f1ee06489fd0c37571dafb8d268b221a765c1bb2eaf909699f0bb441505f",
-    (36, 9, 3): "bf4de12fbbbb8f3fff97615dbf473fba680eca2de2edc4c7cf6695721cd3ef3e",
-    (7, 9, 4): "6f77299300a767ad047e9d482b064f5e49e81cf91ea9c3eb249ac4545aa8aaed",
-    (55, 6, 5): "aff15e31b738e869f3d98e2cd11d7e03420d1bae7909ab98a2798fd82d4d3a9d",
+    (18, 3, 1): "251bc9fd607379437a855a1f849b42aa64f9333cbd2f8c959f5667cd6470dda2",
+    (30, 6, 2): "cef261586150e991f25b00155fcb2e24a7361835d79995b0d2cb3a220f3e5c85",
+    (36, 9, 3): "63c957e9bdbfcb13b8e7d2ede22077bcf6f56f6baa5d70ba23724ca6cae2e339",
+    (7, 9, 4): "c6713ed892f6c87a54ec3c9a06a0a328c94638ee977356505cea79d3ac51ba48",
+    (55, 6, 5): "5c20de025be863397dcd63953793810f853dc49692c3d504883f1c3d67df7904",
 }
 
 

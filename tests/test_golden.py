@@ -35,13 +35,13 @@ CASES = {
 
 GOLDEN = {
     "pairing_t18_n1": "258ad12be40ae6133662a1deec2777c4b53a99c4b5f6a261bf5d2eaea8c25e3c",
-    "pairing_t18_n2": "bc5285fe483116a7f0021244379416a1f668de7c9845fdb2d3539aea9699feab",
-    "multigraph_t30_n2_q4": "6057fd231f12713680a54848865905faa918025d436f1c29d67e0e86dddb36d1",
-    "pairing_t18_n3": "4dabf2fc9c67055a151c3c8d13d901117b6ced372fad3c34f0da29ee17d11e02",
-    "sparse_t18_n4_m50": "f441ff6cb4d01e34d6cad72ea1886329f9589b7cfc0f43d9b4da077ddd097c2b",
+    "pairing_t18_n2": "84272dd2639de826e5dc8962fc967a9eec05a0e4c53bc95d0ddc47a1cfa2baec",
+    "multigraph_t30_n2_q4": "d4b9ef4b622ce77ef90c8ae40ad7b04c334b5be83e27154903b1d83df9fe6862",
+    "pairing_t18_n3": "cd6cace81265aee68ad86f147dfe52c142d39ffb2afebde95bf69262e90d7b35",
+    "sparse_t18_n4_m50": "3490dc0976f95c0c7dc2a14a4fc2eca907eb8f3933f183579ab98812149473fc",
     "unchecked_t4_n2": "BaseSolverExhaustedError",
-    "unchecked_t6_n3": "456e3adf739343eb07052b30ea42c1c486478f17009126286e8f288b27073ce5",
-    "unchecked_t8_n3": "3df7dec81251397b75c2356d9d3f28dc850691fcb2145cfe87d321713b91a50b",
+    "unchecked_t6_n3": "BaseSolverExhaustedError",
+    "unchecked_t8_n3": "e269ba4781dd99167eeee4b7a8833ba40e46e5ec1cac2437c96e3b5a29ac4410",
 }
 
 

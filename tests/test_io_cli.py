@@ -283,6 +283,14 @@ def test_bench_cli(capsys):
     assert "summary" in out
 
 
+def test_bench_rejects_fewer_than_one_seed(capsys):
+    for seeds in ("0", "-3"):
+        assert main(["bench", "18", "2", "--seeds", seeds]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
+
+
 def test_bench_multigraph_mode(capsys):
     assert main(["bench", "18", "1", "--seeds", "1", "--mode", "multigraph", "--q", "2"]) == 0
     assert "verify ok" in capsys.readouterr().out

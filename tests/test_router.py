@@ -271,13 +271,13 @@ def test_factorization_size_follows_the_cross_demands(monkeypatch):
 
 
 def test_euler_walks_visit_real_edges_only(monkeypatch):
-    # padding rides along as loop counts: a walk covers the level's cross
-    # edges, at most one dummy per two odd columns and one odd loop per column
+    # each level walks once: its cross edges plus at most one dummy edge per
+    # two odd-degree columns; no padding loop is walked
     walks: list[tuple[int, int]] = []  # (edges walked, bound of the level)
 
     def recording_project(cross, t, n):
         active, edges = project(cross, t, n)
-        walks.append((-1, len(cross) + 2 * len(active)))
+        walks.append((-1, len(cross) + len(active) // 2))
         return active, edges
 
     euler_walk = factorization._euler_walk

@@ -131,7 +131,7 @@ def test_verify_duplicate_path_is_linear():
     assert [v.kind for v in report.violations] == ["DUPLICATE_EDGE"] * sum(
         tr.length for tr in routing.values()
     )
-    assert len(report.violations) == 14135
+    assert len(report.violations) == 14143
     for v in report.violations:
         did = v.demand_ids[0]
         assert v.demand_ids == (did, did + m)
