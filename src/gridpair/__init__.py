@@ -37,7 +37,6 @@ from .router import (
     RouteDiagnostics,
     Routing,
     build_subproblems,
-    shorten_trail,
     solve,
     solve_complete,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "project",
     "random_demand_multigraph",
     "random_pairing",
-    "shorten_trail",
     "solve",
     "solve_complete",
     "split_demands",

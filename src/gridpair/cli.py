@@ -10,19 +10,23 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .demand import DemandGraph, from_pairing, random_demand_multigraph, random_pairing
+from .demand import from_pairing, random_demand_multigraph, random_pairing
 from .errors import (
     BaseSolverExhaustedError,
     ClaimViolationError,
     FormatError,
+    GridpairError,
     InfeasibleBudgetError,
+    SizeLimitError,
 )
 from .formats import emit_instance, emit_routing, parse_instance, parse_routing
 from .grid import GridSpec
-from .router import shorten_trail, solve
+from .router import solve
 from .verify import VerificationReport, verify
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -30,6 +34,16 @@ EXIT_INFEASIBLE = 2
 EXIT_EXHAUSTED = 3
 EXIT_BUG = 4
 EXIT_FORMAT = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
+
+# The one place a raised failure becomes an exit code: code and stderr form per class.
+EXIT_TABLE: dict[type[GridpairError], tuple[int, str]] = {
+    FormatError: (EXIT_FORMAT, "{}"),
+    InfeasibleBudgetError: (EXIT_INFEASIBLE, "{}"),
+    BaseSolverExhaustedError: (EXIT_EXHAUSTED, "{}"),
+    ClaimViolationError: (EXIT_BUG, "{}; this is a bug"),
+    SizeLimitError: (EXIT_BUG, "{}; this is a bug"),  # only the oracle raises it
+}
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -49,19 +63,23 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_text(path: str) -> str:
+def _grid(args: argparse.Namespace) -> GridSpec:
     try:
-        return Path(path).read_text()
+        return GridSpec(args.t, args.n)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _parse_file(path: str, parse: Callable[..., T], *args: object) -> T:
+    """parse(text of the file, *args); every FormatError names the file."""
+    try:
+        text = Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def _read_instance(path: str) -> DemandGraph:
-    text = _read_text(path)
     try:
-        return parse_instance(text)
+        return parse(text, *args)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -111,32 +129,26 @@ def _random_pairs(
 ) -> list[tuple[int, int]]:
     """Demand pairs (vertex ranks) of a random instance for gen and bench.
 
-    Raises ValueError when no such instance exists or the budget q is out of
-    range; `unchecked` lifts only the q <= floor(t/6)-1 cap.
+    Raises InfeasibleBudgetError when no such instance exists or the budget q
+    is out of range; `unchecked` lifts only the q <= floor(t/6)-1 cap.
     """
     if mode == "pairing":
         if spec.num_vertices % 2:
-            raise ValueError(
+            raise InfeasibleBudgetError(
                 f"pairing mode needs an even vertex count, t^n = {spec.num_vertices} is odd"
             )
         return random_pairing(spec, rng)
     if q is None:
-        raise ValueError("multigraph mode requires --q")
+        raise InfeasibleBudgetError("multigraph mode requires --q")
     cap = spec.t // 6 - 1
     if q % 2 or q < 2 or (q > cap and not unchecked):
-        raise ValueError(f"--q must be even with 2 <= q <= floor(t/6)-1 = {cap}")
+        raise InfeasibleBudgetError(f"--q must be even with 2 <= q <= floor(t/6)-1 = {cap}")
     return random_demand_multigraph(spec, q, rng)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = GridSpec(args.t, args.n)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
-    try:
-        pairs = _random_pairs(spec, args.mode, args.q, Random(_resolve_seed(args)))
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
+    spec = _grid(args)
+    pairs = _random_pairs(spec, args.mode, args.q, Random(_resolve_seed(args)))
     text = emit_instance(from_pairing(spec, pairs))
     if args.out:
         _write(args.out, text)
@@ -146,20 +158,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    try:
-        _check_writable(args.output)
-        dg = _read_instance(args.instance)
-    except FormatError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
-    seed = _resolve_seed(args)
-    try:
-        routing = solve(dg, seed=seed, unchecked=args.unchecked)
-    except InfeasibleBudgetError as exc:
-        return _fail(f"infeasible: {exc} (use --unchecked for best effort)", EXIT_INFEASIBLE)
-    except BaseSolverExhaustedError as exc:
-        return _fail(f"exhausted: {exc}", EXIT_EXHAUSTED)
-    if args.shorten:
-        routing = {did: shorten_trail(tr) for did, tr in routing.items()}
+    _check_writable(args.output)
+    dg = _parse_file(args.instance, parse_instance)
+    routing = solve(dg, seed=_resolve_seed(args), unchecked=args.unchecked)
     report = verify(dg.spec, dg, routing)
     if not report.ok:
         print(_render_report(report, 6 * dg.spec.n - 3), file=sys.stderr)
@@ -173,16 +174,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_pair(args: argparse.Namespace) -> tuple[DemandGraph, dict]:
-    dg = _read_instance(args.instance)
-    text = _read_text(args.routing)
-    try:
-        routing = parse_routing(text, dg.spec)
-    except FormatError as exc:
-        raise FormatError(f"{args.routing}: {exc}") from None
-    return dg, routing
-
-
 def _report_json(report: VerificationReport) -> str:
     payload = {
         "ok": report.ok,
@@ -193,52 +184,30 @@ def _report_json(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        dg, routing = _load_pair(args)
-    except FormatError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
+    """verify and stats: print the report; stats refuses a routing with violations."""
+    dg = _parse_file(args.instance, parse_instance)
+    routing = _parse_file(args.routing, parse_routing, dg.spec)
     report = verify(dg.spec, dg, routing)
-    print(_report_json(report) if args.json else _render_report(report, 6 * dg.spec.n - 3))
+    bound = 6 * dg.spec.n - 3
+    if not report.ok and args.command == "stats":
+        print(_render_report(report, bound), file=sys.stderr)
+        return _fail("stats need a verified routing", EXIT_VIOLATIONS)
+    print(_report_json(report) if args.json else _render_report(report, bound))
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        dg, routing = _load_pair(args)
-    except FormatError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
-    report = verify(dg.spec, dg, routing)
-    if not report.ok:
-        print(_render_report(report, 6 * dg.spec.n - 3), file=sys.stderr)
-        return _fail("stats need a verified routing", EXIT_VIOLATIONS)
-    print(_report_json(report) if args.json else _render_report(report, 6 * dg.spec.n - 3))
-    return EXIT_OK
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        spec = GridSpec(args.t, args.n)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
+    spec = _grid(args)
     if args.seeds < 1:
-        return _fail(f"--seeds must be >= 1, got {args.seeds}", EXIT_FORMAT)
+        raise FormatError(f"--seeds must be >= 1, got {args.seeds}")
     base_seed = _resolve_seed(args)
     all_ok = True
     times = []
     for i in range(args.seeds):
-        rng = Random(base_seed + i)
-        try:
-            pairs = _random_pairs(spec, args.mode, args.q, rng, args.unchecked)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INFEASIBLE)
+        pairs = _random_pairs(spec, args.mode, args.q, Random(base_seed + i), args.unchecked)
         dg = from_pairing(spec, pairs)
         start = time.perf_counter()
-        try:
-            routing = solve(dg, seed=base_seed + i, unchecked=args.unchecked)
-        except InfeasibleBudgetError as exc:
-            return _fail(str(exc), EXIT_INFEASIBLE)
-        except BaseSolverExhaustedError as exc:
-            return _fail(str(exc), EXIT_EXHAUSTED)
+        routing = solve(dg, seed=base_seed + i, unchecked=args.unchecked)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
         report = verify(spec, dg, routing)
@@ -287,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unchecked", action="store_true",
         help="skip the degree-budget feasibility gate (best effort, still verified)",
     )
-    route.add_argument(
-        "--shorten", action="store_true",
-        help="post-process trails into vertex-simple paths",
-    )
     route.set_defaults(func=_cmd_route)
 
     ver = sub.add_parser("verify", help="re-check a routing against its instance")
@@ -303,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("instance")
     stats.add_argument("routing")
     stats.add_argument("--json", action="store_true", help="machine-readable report")
-    stats.set_defaults(func=_cmd_stats)
+    stats.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time end-to-end routing over several seeds")
     bench.add_argument("t", type=int)
@@ -318,10 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; every failure it raises leaves through EXIT_TABLE."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FormatError as exc:
-        return _fail(str(exc), EXIT_FORMAT)
-    except ClaimViolationError as exc:
-        return _fail(f"{exc}; this is a bug", EXIT_BUG)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except GridpairError as exc:
+        code, form = EXIT_TABLE[type(exc)]
+        return _fail(form.format(exc), code)
+    except BrokenPipeError:
+        # The reader left (`gridpair verify ... | head -1`). Whatever stdout still
+        # buffers goes to devnull, so the flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE

@@ -75,7 +75,7 @@ def choose_q(spec: GridSpec, delta: int) -> int:
     if q > cap:
         raise InfeasibleBudgetError(
             f"demand degree {delta} needs even budget {q}, but t={spec.t} admits "
-            f"at most {cap} (requires t >= {6 * (q + 1)})"
+            f"at most {cap} (requires t >= {6 * (q + 1)}; unchecked routing skips this gate)"
         )
     return q
 

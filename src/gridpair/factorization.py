@@ -25,16 +25,21 @@ def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[in
     loop counts once in and once out. Raises ValueError for an endpoint
     outside [0, num_vertices) or a vertex of odd degree.
     """
+    odd = [v for v, d in enumerate(_degrees(num_vertices, edges)) if d % 2]
+    if odd:
+        raise ValueError(f"Euler orientation needs even degrees; odd at {odd[:5]}")
+    return _euler_walk(num_vertices, edges)
+
+
+def _degrees(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Degree of every vertex; a loop adds 2. Raises ValueError for an endpoint out of range."""
     if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
         raise ValueError("edge endpoint outside vertex range")
     deg = [0] * num_vertices
     for u, v in edges:
         deg[u] += 1
-        deg[v] += 1  # a loop adds 2 at its vertex
-    odd = [v for v, d in enumerate(deg) if d % 2]
-    if odd:
-        raise ValueError(f"Euler orientation needs even degrees; odd at {odd[:5]}")
-    return _euler_walk(num_vertices, edges)
+        deg[v] += 1
+    return deg
 
 
 def _euler_walk(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
@@ -76,12 +81,7 @@ def two_factorization(
     """
     if k < 1:
         raise ValueError(f"factor count must be >= 1, got {k}")
-    if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
-        raise ValueError("edge endpoint outside vertex range")
-    deg = [0] * num_vertices
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1  # a loop adds 2 at its vertex
+    deg = _degrees(num_vertices, edges)
     over = [v for v, d in enumerate(deg) if d > 2 * k]
     if over:
         raise ValueError(f"vertex {over[0]} has degree {deg[over[0]]} > {2 * k}")

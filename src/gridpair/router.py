@@ -276,21 +276,6 @@ def _derive_seed(seed: int, tag: str, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def shorten_trail(tr: Trail) -> Trail:
-    """Remove cycles at repeated vertices; keeps endpoints, never lengthens."""
-    verts = list(tr.vertices)
-    i = 0
-    while i < len(verts):
-        j = len(verts) - 1
-        while j > i:
-            if verts[j] == verts[i]:
-                del verts[i + 1 : j + 1]
-                break
-            j -= 1
-        i += 1
-    return Trail(tuple(verts))
-
-
 def solve(
     dg: DemandGraph,
     *,
@@ -304,7 +289,9 @@ def solve(
     higher dimensions the cross-column demands are spread over layers by a
     2-factor decomposition, layers recurse, columns are solved directly, and
     the pieces are concatenated per demand. Every trail is a sequence of
-    vertex ranks that starts at its demand's u. The budget q comes from the
+    vertex ranks that starts at its demand's u, and it is a path: column c
+    and layer k share only the vertex c*t + k, and every base-solver trail
+    is a path, so no vertex repeats. The budget q comes from the
     maximum demand degree via choose_q; `unchecked` skips its feasibility
     gate and only rounds the degree up to even (best effort; the result is
     still worth verifying).

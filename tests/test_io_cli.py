@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpair
 from gridpair import (
     GridSpec,
     emit_instance,
@@ -16,8 +20,14 @@ from gridpair import (
     random_pairing,
     solve,
 )
-from gridpair.cli import main
-from gridpair.errors import ClaimViolationError, FormatError
+from gridpair.cli import EXIT_BROKEN_PIPE, EXIT_TABLE, main
+from gridpair.errors import (
+    BaseSolverExhaustedError,
+    ClaimViolationError,
+    FormatError,
+    GridpairError,
+    InfeasibleBudgetError,
+)
 
 
 def test_instance_roundtrip_simple():
@@ -306,16 +316,92 @@ def test_bench_rejects_bad_q_like_gen(capsys):
 
 
 def test_route_shorten_produces_simple_verified_trails(tmp_path):
+    # plain route output is already made of paths; there is nothing to shorten
     inst = tmp_path / "inst.txt"
-    plain = tmp_path / "plain.txt"
-    short = tmp_path / "short.txt"
+    routed = tmp_path / "routing.txt"
     main(["gen", "18", "2", "--seed", "9", "-o", str(inst)])
-    assert main(["route", str(inst), str(plain), "--seed", "2"]) == 0
-    assert main(["route", str(inst), str(short), "--seed", "2", "--shorten"]) == 0
-    assert main(["verify", str(inst), str(short)]) == 0
+    assert main(["route", str(inst), str(routed), "--seed", "2"]) == 0
+    assert main(["verify", str(inst), str(routed)]) == 0
     spec = GridSpec(18, 2)
-    for did, tr in parse_routing(short.read_text(), spec).items():
+    for did, tr in parse_routing(routed.read_text(), spec).items():
         assert len(set(tr.vertices)) == len(tr.vertices), f"demand {did} revisits a vertex"
+
+
+def test_exit_table_covers_every_error_class():
+    assert set(GridpairError.__subclasses__()) == set(EXIT_TABLE)
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (InfeasibleBudgetError("no budget fits"), 2, "no budget fits"),
+        (BaseSolverExhaustedError("greedy routing failed"), 3, "greedy routing failed"),
+        (ClaimViolationError("i", "layer 0 reaches 3 > q=2"), 4,
+         "claim i: layer 0 reaches 3 > q=2; this is a bug"),
+    ],
+)
+@pytest.mark.parametrize("command", ["route", "bench"])
+def test_exit_table_maps_solver_errors(
+    tmp_path, monkeypatch, capsys, command, error, code, message
+):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    inst = tmp_path / "inst.txt"
+    assert main(["gen", "18", "1", "--seed", "1", "-o", str(inst)]) == 0
+    monkeypatch.setattr("gridpair.cli.solve", failing_solve)
+    if command == "route":
+        argv = ["route", str(inst), str(tmp_path / "routing.txt")]
+    else:
+        argv = ["bench", "18", "1", "--seeds", "1"]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"  # one line, the same for route and bench
+    assert "Traceback" not in err
+
+
+def _verify_closing_stdout(inst: Path, routed: Path, *flags: str, lines: int) -> tuple[int, str]:
+    """Run `python -m gridpair verify` whose reader closes stdout after `lines` lines.
+
+    With lines=0 the read end is closed before the process starts, so its
+    first write to stdout fails.
+    """
+    # the child process imports the same gridpair as this test run, and
+    # buffers stdout as it does by default in a pipe
+    src = str(Path(gridpair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "gridpair", "verify", str(inst), str(routed), *flags]
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        if lines == 0:
+            reader.close()
+        with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+            os.close(write_end)
+            for _ in range(lines):
+                reader.readline()
+            reader.close()
+            err = proc.stderr.read().decode()
+            return proc.wait(timeout=60), err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    inst = tmp_path / "inst.txt"
+    routed = tmp_path / "routing.txt"
+    assert main(["gen", "18", "2", "--seed", "3", "-o", str(inst)]) == 0
+    assert main(["route", str(inst), str(routed)]) == 0
+    assert _verify_closing_stdout(inst, routed, lines=0) == (EXIT_BROKEN_PIPE, "")
+    for _ in range(4):  # a short report: the reader may leave before or after the write
+        code, err = _verify_closing_stdout(inst, routed, lines=1)
+        assert code in (0, EXIT_BROKEN_PIPE)
+        assert "Traceback" not in err and "Exception ignored" not in err
+    # 20,000 demands sharing one edge: a report far larger than a pipe holds
+    m = 20_000
+    inst.write_text(f"GRID 18 1\nDEMANDS {m}\n" + "".join(f"{i} 0 1\n" for i in range(m)))
+    routed.write_text(f"ROUTING {m}\n" + "".join(f"{i} 1 0 | 1\n" for i in range(m)))
+    assert _verify_closing_stdout(inst, routed, "--json", lines=1) == (EXIT_BROKEN_PIPE, "")
 
 
 def test_instance_roundtrip_with_sparse_ids():

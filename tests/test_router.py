@@ -18,14 +18,13 @@ from gridpair import (
     project,
     random_demand_multigraph,
     random_pairing,
-    shorten_trail,
     solve,
     solve_complete,
     split_demands,
     two_factorization,
     verify,
 )
-from gridpair import factorization
+from gridpair import factorization, router
 from gridpair.errors import BaseSolverExhaustedError, ClaimViolationError
 from helpers import wrap_complete_routing
 
@@ -308,18 +307,28 @@ def test_one_demand_on_k24_5_routes_quickly():
     assert time.perf_counter() - start < 5
 
 
-def test_shorten_trail_removes_cycles():
-    tr = Trail((0, 1, 2, 1, 3))
-    assert shorten_trail(tr) == Trail((0, 1, 3))
-    simple = Trail((0, 2, 3))
-    assert shorten_trail(simple) == simple
+def test_shorten_preserves_verification(monkeypatch):
+    # Every trail solve returns is already a path: a column and a layer share
+    # one vertex only, and every base-solver trail is a path. The unchecked
+    # K_8^3 instance takes greedy restarts and length-3 detours on the way.
+    passes = []
 
+    def recording_greedy_pass(*args):
+        routed = original_greedy_pass(*args)
+        passes.append(routed)
+        return routed
 
-def test_shorten_preserves_verification():
-    spec = GridSpec(18, 2)
-    dg = from_pairing(spec, random_pairing(spec, Random(12)))
-    routing = solve(dg, seed=12)
-    shortened = {did: shorten_trail(tr) for did, tr in routing.items()}
-    report = verify(spec, dg, shortened)
-    assert report.ok
-    assert all(shortened[d].length <= routing[d].length for d in routing)
+    original_greedy_pass = router._greedy_pass
+    monkeypatch.setattr("gridpair.router._greedy_pass", recording_greedy_pass)
+    k18_2, k8_3 = GridSpec(18, 2), GridSpec(8, 3)
+    cases = [
+        (from_pairing(k18_2, random_pairing(k18_2, Random(12))), 12, False),
+        (from_pairing(k8_3, random_demand_multigraph(k8_3, 2, Random(0))), 0, True),
+    ]
+    for dg, seed, unchecked in cases:
+        routing = solve(dg, seed=seed, unchecked=unchecked)
+        assert verify(dg.spec, dg, routing).ok
+        for did, tr in routing.items():
+            assert len(set(tr.vertices)) == len(tr.vertices), f"demand {did} revisits a vertex"
+    assert None in passes, "no greedy restart was exercised"
+    assert any(len(v) == 4 for r in passes if r for v in r.values()), "no length-3 detour"
