@@ -113,14 +113,15 @@ _EXHAUSTIVE_TRAIL_CAP = 4
 def solve_complete(
     t: int,
     demands: Sequence[tuple[Hashable, int, int]],
-    rng: Random | None = None,
+    seed: int = 0,
 ) -> dict[Hashable, tuple[int, ...]]:
     """Pairwise edge-disjoint trails for demands (key, from, to) on K_t.
 
     Greedy passes first: direct edges, then length-2 detours through the
     least-loaded intermediate, then length-3 detours. On failure the demand
-    order is reshuffled, up to 200 times; for t <= 8 an exhaustive
-    search runs last. Raises BaseSolverExhaustedError when everything fails.
+    order is reshuffled by `Random(seed)`, built at the first failure only,
+    up to 200 times; for t <= 8 an exhaustive search runs last. Raises
+    BaseSolverExhaustedError when everything fails.
     """
     for key, x, y in demands:
         if not (0 <= x < t and 0 <= y < t):
@@ -129,13 +130,16 @@ def solve_complete(
             raise ValueError(f"demand {key!r} pairs vertex {x} with itself")
     if not demands:
         return {}
-    rng = rng if rng is not None else Random(0)
     order = list(range(len(demands)))
-    for _ in range(_MAX_RESTARTS + 1):
+    routed = _greedy_pass(t, demands, order)
+    if routed is not None:
+        return routed
+    rng = Random(seed)
+    for _ in range(_MAX_RESTARTS):
+        rng.shuffle(order)
         routed = _greedy_pass(t, demands, order)
         if routed is not None:
             return routed
-        rng.shuffle(order)
     if t <= _EXHAUSTIVE_MAX_T:
         routed = _exhaustive_pass(t, demands, _EXHAUSTIVE_TRAIL_CAP)
         if routed is not None:
@@ -314,7 +318,7 @@ def _solve_rec(
 ) -> dict[int, Sequence[int]]:
     """Rank trails of K_t^n, keyed like `demands` and each starting at its demand's u."""
     if n == 1:
-        return solve_complete(t, demands, Random(_derive_seed(seed, "kt", 0)))
+        return solve_complete(t, demands, _derive_seed(seed, "kt", 0))
 
     intra, cross = split_demands(demands, t)
     edge_layer: list[int] = []
@@ -324,7 +328,7 @@ def _solve_rec(
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {
-        c: solve_complete(t, ds, Random(_derive_seed(seed, "column", c)))
+        c: solve_complete(t, ds, _derive_seed(seed, "column", c))
         for c, ds in columns.items()
     }
     layer_trails = {

@@ -152,7 +152,7 @@ def test_criterion_5_base_solver_reliability():
         pairs = random_demand_multigraph(spec, 4, rng)
         flat = [(i, u, v) for i, (u, v) in enumerate(pairs)]
         try:
-            out = solve_complete(18, flat, Random(seed))
+            out = solve_complete(18, flat, seed)
         except BaseSolverExhaustedError:
             failures.append(seed)
             continue
@@ -185,7 +185,7 @@ def test_criterion_6_oracle_consistency():
                 expected = oracle_solve(spec, demands)
                 flat = [(i, x, y) for i, (x, y) in enumerate(combo)]
                 try:
-                    got = solve_complete(t, flat, Random(1))
+                    got = solve_complete(t, flat, 1)
                 except BaseSolverExhaustedError:
                     got = None
                 if (expected is None) != (got is None):

@@ -107,7 +107,7 @@ def test_solve_complete_direct_edges():
 
 
 def test_solve_complete_parallel_demands():
-    out = solve_complete(4, [(0, 0, 1), (1, 0, 1)], Random(0))
+    out = solve_complete(4, [(0, 0, 1), (1, 0, 1)], 0)
     spec = GridSpec(4, 1)
     demands = [DemandEdge(0, 0, 1), DemandEdge(1, 0, 1)]
     assert oracle_solve(spec, demands) is not None
@@ -126,7 +126,7 @@ def test_solve_complete_rejects_bad_demands():
 def test_solve_complete_exhausts_on_infeasible():
     # three parallel demands on K_3 exceed vertex degree 2
     with pytest.raises(BaseSolverExhaustedError):
-        solve_complete(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], Random(0))
+        solve_complete(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], 0)
 
 
 def test_solve_complete_k18_degree_4_sample():
@@ -134,7 +134,7 @@ def test_solve_complete_k18_degree_4_sample():
     for seed in range(25):
         pairs = random_demand_multigraph(spec, 4, Random(seed))
         demands = [(i, u, v) for i, (u, v) in enumerate(pairs)]
-        out = solve_complete(18, demands, Random(seed))
+        out = solve_complete(18, demands, seed)
         assert all(len(tr) - 1 <= 3 for tr in out.values())
         dg = from_pairing(spec, pairs)
         assert verify(spec, dg, wrap_complete_routing(out)).ok

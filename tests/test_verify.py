@@ -205,7 +205,7 @@ def test_oracle_agreement_with_base_solver_on_random_instances():
         demands = [DemandEdge(i, x, y) for i, (x, y) in enumerate(pairs)]
         expected = oracle_solve(spec, demands)
         try:
-            got = solve_complete(5, [(i, x, y) for i, (x, y) in enumerate(pairs)], Random(trial))
+            got = solve_complete(5, [(i, x, y) for i, (x, y) in enumerate(pairs)], trial)
         except BaseSolverExhaustedError:
             got = None
         if expected is None:
@@ -221,6 +221,6 @@ def test_solver_success_always_verifies():
     for seed in range(10):
         pairs = random_demand_multigraph(spec, 2, Random(seed))
         flat = [(i, u, v) for i, (u, v) in enumerate(pairs)]
-        out = solve_complete(18, flat, Random(seed))
+        out = solve_complete(18, flat, seed)
         dg = from_pairing(spec, pairs)
         assert verify(spec, dg, wrap_complete_routing(out)).ok
