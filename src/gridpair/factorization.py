@@ -14,6 +14,7 @@ never conflated.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 
@@ -68,7 +69,10 @@ def _euler_walk(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int
 
 
 def two_factorization(
-    num_vertices: int, edges: Sequence[tuple[int, int]], k: int
+    num_vertices: int,
+    edges: Sequence[tuple[int, int]],
+    k: int,
+    prefer: Sequence[Sequence[int]] | None = None,
 ) -> list[list[int]]:
     """Split a multigraph of maximum degree <= 2k into k factors, as sorted edge ids.
 
@@ -77,10 +81,16 @@ def two_factorization(
     (tail, head) are k-edge-coloured as a bipartite graph of out- and
     in-copies. Each colour class is one factor: it adds at most 2 to any
     degree, and exactly 2 at a vertex of degree 2k, whose out- and in-copy
-    both have degree k and so see every colour once.
+    both have degree k and so see every colour once. `prefer[i]`, if
+    given, lists factors edge i should join, best first; see
+    `_edge_colouring`. Any choice leaves the colouring proper.
     """
     if k < 1:
         raise ValueError(f"factor count must be >= 1, got {k}")
+    if prefer is not None and (
+        len(prefer) != len(edges) or not all(0 <= c < k for p in prefer for c in p)
+    ):
+        raise ValueError(f"prefer needs one tuple of factors in [0, {k}) per edge")
     deg = _degrees(num_vertices, edges)
     over = [v for v, d in enumerate(deg) if d > 2 * k]
     if over:
@@ -90,7 +100,7 @@ def two_factorization(
     tails = _euler_walk(num_vertices, host)  # in range (checked above), even (padded)
     # zip stops at the real edges: out- and in-degree are each at most k.
     arcs = [(tail, v if tail == u else u) for tail, (u, v) in zip(tails, edges)]
-    return _edge_colouring(num_vertices, arcs, k)
+    return _edge_colouring(num_vertices, arcs, k, prefer)
 
 
 def bipartite_matching_decomposition(
@@ -118,14 +128,21 @@ def bipartite_matching_decomposition(
     return _edge_colouring(num_left, edges, k)
 
 
-def _edge_colouring(num_left: int, edges: Sequence[tuple[int, int]], k: int) -> list[list[int]]:
+def _edge_colouring(
+    num_left: int,
+    edges: Sequence[tuple[int, int]],
+    k: int,
+    prefer: Sequence[Sequence[int]] | None = None,
+) -> list[list[int]]:
     """Colour classes of a proper k-edge-colouring of a bipartite multigraph, degree <= k.
 
     Edge (x, y) joins left vertex x to right vertex y, numbered num_left + y
     here. Edges are coloured in order, each by the first colour free at both
-    ends if there is one. Otherwise a is free at x and b at y, and the a/b
+    ends if there is one, trying the colours of prefer[eid] (if given)
+    before 0..k-1. Otherwise a is free at x and b at y, and the a/b
     path that leaves y by a cannot reach x (it enters left vertices by a):
-    swapping its colours frees a at y for the edge. Each vertex keeps a dict
+    swapping its colours frees a at y for the edge; the swap may move
+    earlier edges off their preferred colours. Each vertex keeps a dict
     colour -> edge id, so memory grows with the edges, not with k.
     """
     num_right = 1 + max((y for _, y in edges), default=-1)
@@ -133,7 +150,7 @@ def _edge_colouring(num_left: int, edges: Sequence[tuple[int, int]], k: int) -> 
     colour = [0] * len(edges)
     for eid, (x, y) in enumerate(edges):
         at_x, at_y = at[x], at[num_left + y]
-        for a in range(k):
+        for a in chain(prefer[eid], range(k)) if prefer else range(k):
             if a not in at_x and a not in at_y:
                 break
         else:

@@ -5,10 +5,14 @@ significant), so rank r of K_t^n lies in column r // t and layer r % t.
 Cross-column demands are rerouted through a layer chosen by 2-factorizing the
 projection onto the active columns into t*q/2 factors (`two_factorization`)
 and grouping q/2 of them per layer: each becomes a column hop, a layer
-crossing, and a second column hop. Layers recurse one dimension down, columns and one-dimensional
-instances are solved directly on the complete graph, and the pieces are
-concatenated per original demand. Column and layer edge sets are pairwise
-disjoint, so edge-disjointness composes across subproblems.
+crossing, and a second column hop. The factorization prefers, for each
+cross demand, the factors of the layer of u and then of v; any proper
+colouring keeps the degree claims, and a demand that crosses in an
+endpoint's own layer needs no column hop at that endpoint. Layers recurse
+one dimension down, columns and one-dimensional instances are solved
+directly on the complete graph, and the pieces are concatenated per
+original demand. Column and layer edge sets are pairwise disjoint, so
+edge-disjointness composes across subproblems.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from random import Random
 from typing import Hashable, Sequence
 
@@ -29,7 +34,10 @@ Routing = dict[int, Trail]
 
 @dataclass
 class RouteDiagnostics:
-    """Observed subproblem degree maxima, one record per recursion level."""
+    """Observed degree maxima, one record per subproblem split into layers and columns.
+
+    A lone demand is never split (its trail is known), so it adds no record.
+    """
 
     records: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     # (dimension, layer max, layer bound, column max, column bound)
@@ -274,6 +282,13 @@ def _exhaustive_pass(
     return result if place(0) else None
 
 
+@cache
+def _layer_factors(t: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The factors `group_factors` sends to each layer: layer k gets k*q/2 .. k*q/2 + q/2 - 1."""
+    h = q // 2
+    return tuple(tuple(range(k * h, k * h + h)) for k in range(t))
+
+
 def _derive_seed(seed: int, tag: str, index: int) -> int:
     """Stable per-subproblem seed, independent of scheduling and worker count."""
     digest = hashlib.blake2b(f"{seed}:{tag}:{index}".encode(), digest_size=8).digest()
@@ -317,6 +332,17 @@ def _solve_rec(
     diagnostics: RouteDiagnostics | None,
 ) -> dict[int, Sequence[int]]:
     """Rank trails of K_t^n, keyed like `demands` and each starting at its demand's u."""
+    if len(demands) == 1:
+        # What the recursion gives a lone demand: it crosses in its u's layer
+        # (that factor is free) and its column hop is a direct edge, so each
+        # level fixes one coordinate, first to last, skipping equal ones.
+        ((key, u, v),) = demands
+        trail = [u]
+        for place in (t**i for i in range(n - 1, -1, -1)):
+            step = (v // place % t - trail[-1] // place % t) * place
+            if step:
+                trail.append(trail[-1] + step)
+        return {key: trail}
     if n == 1:
         return solve_complete(t, demands, _derive_seed(seed, "kt", 0))
 
@@ -324,7 +350,10 @@ def _solve_rec(
     edge_layer: list[int] = []
     if cross:
         active, aux = project(cross, t, n)
-        edge_layer = group_factors(two_factorization(len(active), aux, t * q // 2), q, t)
+        own = _layer_factors(t, q)
+        prefer = [own[u % t] + own[v % t] for _, u, v in cross]  # u's layer first, then v's
+        factors = two_factorization(len(active), aux, t * q // 2, prefer=prefer)
+        edge_layer = group_factors(factors, q, t)
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {

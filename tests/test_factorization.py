@@ -14,6 +14,7 @@ from gridpair import (
     group_factors,
     two_factorization,
 )
+from gridpair import factorization
 from helpers import assert_padded_factorization, random_regular_multigraph
 
 
@@ -123,12 +124,8 @@ def test_two_factorization_property(seed, k, nv):
     assert_valid_factorization(nv, edges, k, two_factorization(nv, edges, k))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 30), st.integers(0, 3))
-@settings(max_examples=60, deadline=None)
-def test_two_factorization_pads_bounded_degree_graphs(seed, k, nv, isolated):
-    # random multigraph of maximum degree <= 2k with explicit loops, odd
-    # deficiencies and `isolated` extra vertices that no edge touches
-    rng = Random(seed)
+def bounded_multigraph(nv: int, k: int, rng: Random) -> list[tuple[int, int]]:
+    """Random multigraph of maximum degree <= 2k with loops and odd deficiencies."""
     deg = [0] * nv
     edges = []
     for _ in range(rng.randrange(nv * k + 1)):
@@ -139,6 +136,14 @@ def test_two_factorization_pads_bounded_degree_graphs(seed, k, nv, isolated):
         deg[u] += 1
         deg[v] += 1
         edges.append((u, v))
+    return edges
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 30), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_two_factorization_pads_bounded_degree_graphs(seed, k, nv, isolated):
+    # `isolated` extra vertices that no edge touches
+    edges = bounded_multigraph(nv, k, Random(seed))
     num_vertices = nv + isolated
     factors = two_factorization(num_vertices, edges, k)
     assert_padded_factorization(num_vertices, edges, k, factors)
@@ -153,6 +158,61 @@ def test_two_factorization_star_with_many_factors():
     elapsed = time.perf_counter() - start
     assert_padded_factorization(501, edges, 10**5, factors)
     assert elapsed < 1.0, f"two_factorization took {elapsed:.2f} s"
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_two_factorization_with_preferences_stays_valid(seed, k, nv):
+    # preferences that clash everywhere still give factors of degree <= 2
+    rng = Random(seed)
+    edges = bounded_multigraph(nv, k, rng)
+    prefer = [tuple(rng.randrange(k) for _ in range(rng.randrange(4))) for _ in edges]
+    assert_padded_factorization(nv, edges, k, two_factorization(nv, edges, k, prefer=prefer))
+
+
+def test_two_factorization_takes_free_preferred_factors():
+    assert two_factorization(2, [(0, 1)], 5, prefer=[(3, 1)]) == [[], [], [], [0], []]
+    cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert two_factorization(4, cycle, 3, prefer=[(2,)] * 4) == [[], [], [0, 1, 2, 3]]
+    # two loops at one vertex cannot share a factor; the second takes its next choice
+    assert two_factorization(1, [(0, 0), (0, 0)], 3, prefer=[(1,), (1, 2)]) == [[], [0], [1]]
+    # and with no preferred factor free, the first free factor
+    assert two_factorization(1, [(0, 0), (0, 0)], 3, prefer=[(1,), (1,)]) == [[1], [0], []]
+
+
+def test_two_factorization_rejects_bad_preferences():
+    for prefer in ([(0,)], [(0,), (3,)], [(0,), (-1,)]):
+        with pytest.raises(ValueError):
+            two_factorization(3, [(0, 1), (1, 2)], 3, prefer=prefer)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_edge_colouring_takes_a_preferred_colour_free_at_both_ends(seed, k, nv):
+    # Edges are coloured in order, so colouring the prefix edges[:m] replays
+    # the state the full run had before edge m. If one of its preferred
+    # colours is free at both ends there, edge m takes the first such colour
+    # and no earlier edge is recoloured.
+    rng = Random(seed)
+    left, right = [0] * nv, [0] * nv
+    edges = []
+    for _ in range(rng.randrange(nv * k + 1)):
+        x, y = rng.randrange(nv), rng.randrange(nv)
+        if left[x] < k and right[y] < k:
+            left[x] += 1
+            right[y] += 1
+            edges.append((x, y))
+    prefer = [tuple(rng.randrange(k) for _ in range(rng.randrange(4))) for _ in edges]
+    before: list[list[int]] = [[] for _ in range(k)]
+    for m, (x, y) in enumerate(edges):
+        after = factorization._edge_colouring(nv, edges[: m + 1], k, prefer[: m + 1])
+        busy = {c for c, cls in enumerate(before) for e in cls if edges[e][0] == x}
+        busy |= {c for c, cls in enumerate(before) for e in cls if edges[e][1] == y}
+        free = [c for c in prefer[m] if c not in busy]
+        if free:
+            assert m in after[free[0]]
+            assert [[e for e in cls if e != m] for cls in after] == before
+        before = after
 
 
 def test_matching_decomposition_1_regular_identity():

@@ -35,13 +35,13 @@ CASES = {
 
 GOLDEN = {
     "pairing_t18_n1": "258ad12be40ae6133662a1deec2777c4b53a99c4b5f6a261bf5d2eaea8c25e3c",
-    "pairing_t18_n2": "84272dd2639de826e5dc8962fc967a9eec05a0e4c53bc95d0ddc47a1cfa2baec",
-    "multigraph_t30_n2_q4": "d4b9ef4b622ce77ef90c8ae40ad7b04c334b5be83e27154903b1d83df9fe6862",
-    "pairing_t18_n3": "cd6cace81265aee68ad86f147dfe52c142d39ffb2afebde95bf69262e90d7b35",
-    "sparse_t18_n4_m50": "3490dc0976f95c0c7dc2a14a4fc2eca907eb8f3933f183579ab98812149473fc",
-    "unchecked_t4_n2": "BaseSolverExhaustedError",
-    "unchecked_t6_n3": "BaseSolverExhaustedError",
-    "unchecked_t8_n3": "e269ba4781dd99167eeee4b7a8833ba40e46e5ec1cac2437c96e3b5a29ac4410",
+    "pairing_t18_n2": "411c5062fcc9e26e8f2d138e538211f6ad6d810f92defac53229abbb57a38771",
+    "multigraph_t30_n2_q4": "8ae9ccfb5cc9ba45a7b0a2775c913353cc000aa8c237ffa8eadf531bf5f88675",
+    "pairing_t18_n3": "dcf126bf7f30ce729b78ac75e61705ffb81ef50b53889fd66dbf1418a708f881",
+    "sparse_t18_n4_m50": "5b57ef65648ed7a454c1c365009507ae7b58d1f804e2dd89bf87e85b7a0d5f23",
+    "unchecked_t4_n2": "a9e469008c60cc47aa3ae5ee38db924c19fedea98700a6190d7a2ee9376d85ab",
+    "unchecked_t6_n3": "075e24ca1c6dadd4ee5715e00f6a85b4a3dff3ebc7d7e1c4c2b647975c30741a",
+    "unchecked_t8_n3": "8ca48b3033e5853338f2242ecfeaaf27352c567cec560feea1e17db18594c3c5",
 }
 
 

@@ -23,6 +23,8 @@ from gridpair import (
     split_demands,
     two_factorization,
     verify,
+    vertex_from_rank,
+    vertex_rank,
 )
 from gridpair import factorization, router
 from gridpair.errors import BaseSolverExhaustedError, ClaimViolationError
@@ -140,14 +142,15 @@ def test_solve_complete_k18_degree_4_sample():
         assert verify(spec, dg, wrap_complete_routing(out)).ok
 
 
-def _layer_of_crossing(cu: int, cv: int) -> int:
-    """Layer a lone demand from column cu to column cv of K_18^2 is routed through."""
-    active, edges = project([(0, cu * 18, cv * 18)], 18, 2)
-    return group_factors(two_factorization(len(active), edges, 18), 2, 18)[0]
+def _layers_of_crossings(cross: list[tuple[int, int, int]]) -> list[int]:
+    """Layer each cross demand (key, u, v) of K_18^2 at q = 2 crosses in, as the router picks it."""
+    active, edges = project(cross, 18, 2)
+    prefer = [(u % 18, v % 18) for _, u, v in cross]
+    return group_factors(two_factorization(len(active), edges, 18, prefer=prefer), 2, 18)
 
 
-def _route_one(u, v) -> Trail:
-    return solve(DemandGraph(GridSpec(18, 2), (DemandEdge(0, u, v),)))[0]
+def _route(*pairs: tuple[int, int]) -> dict[int, Trail]:
+    return solve(from_pairing(GridSpec(18, 2), list(pairs)))
 
 
 def _at(c: int, x: int) -> int:
@@ -156,17 +159,43 @@ def _at(c: int, x: int) -> int:
 
 
 def test_stitch_degenerate_connectors():
-    k = _layer_of_crossing(5, 9)
-    assert _route_one(_at(5, k), _at(9, k)) == Trail((_at(5, k), _at(9, k)))
+    # a lone demand crosses in the layer of its u: one column hop, at v
+    assert _layers_of_crossings([(0, _at(5, 1), _at(9, 3))]) == [1]
+    assert _route((_at(5, 1), _at(9, 3)))[0] == Trail((_at(5, 1), _at(9, 1), _at(9, 3)))
+    assert _route((_at(5, 4), _at(9, 4)))[0] == Trail((_at(5, 4), _at(9, 4)))
 
 
 def test_stitch_concatenates_and_orients():
-    for cu, cv in ((5, 9), (9, 5)):
-        k = _layer_of_crossing(cu, cv)
-        i, j = (k + 1) % 18, (k + 3) % 18
-        assert _route_one(_at(cu, i), _at(cv, j)) == Trail(
-            (_at(cu, i), _at(cu, k), _at(cv, k), _at(cv, j))
-        )
+    # The blockers take layers 1, 1 and 3: layer 1 is full (q = 2) at column
+    # 5, and layer 3 is taken at column 9 on the side the last demand's arc
+    # needs. So (5, 1) -- (9, 3) crosses in neither of its own layers, and its
+    # trail is column hop, layer crossing, column hop, in either direction.
+    blockers = [(_at(2, 1), _at(5, 3)), (_at(5, 1), _at(9, 1)), (_at(2, 3), _at(9, 3))]
+    for u, v in ((_at(5, 1), _at(9, 3)), (_at(9, 3), _at(5, 1))):
+        pairs = [*blockers, (u, v)]
+        *taken, k = _layers_of_crossings([(i, a, b) for i, (a, b) in enumerate(pairs)])
+        assert taken == [1, 1, 3] and k not in (1, 3)
+        cu, cv = u // 18, v // 18
+        assert _route(*pairs)[3] == Trail((u, _at(cu, k), _at(cv, k), v))
+
+
+def test_top_level_crosses_in_an_endpoints_own_layer(monkeypatch):
+    # a seed-1 K_18^3 pairing: the preferences spread the top level's cross
+    # demands over all 18 layers, most of them in a layer one endpoint lies in
+    levels = []
+
+    def recording_build_subproblems(intra, cross, edge_layer, t, q, n, *rest):
+        levels.append((n, cross, edge_layer))
+        return build_subproblems(intra, cross, edge_layer, t, q, n, *rest)
+
+    monkeypatch.setattr("gridpair.router.build_subproblems", recording_build_subproblems)
+    spec = GridSpec(18, 3)
+    dg = from_pairing(spec, random_pairing(spec, Random(1)))
+    assert verify(spec, dg, solve(dg, seed=1)).ok
+    [(cross, edge_layer)] = [(cross, edge_layer) for n, cross, edge_layer in levels if n == 3]
+    assert set(edge_layer) == set(range(18))
+    own = sum(k in (u % 18, v % 18) for (_, u, v), k in zip(cross, edge_layer))
+    assert own >= 0.8 * len(cross), f"{own} of {len(cross)} cross in an endpoint's layer"
 
 
 def test_solve_empty_demands():
@@ -254,9 +283,9 @@ def test_factorization_size_follows_the_cross_demands(monkeypatch):
         sizes.append([n, len(cross)])
         return project(cross, t, n)
 
-    def recording_two_factorization(num_vertices, edges, k):
+    def recording_two_factorization(num_vertices, edges, k, **options):
         sizes[-1].append(num_vertices)
-        return two_factorization(num_vertices, edges, k)
+        return two_factorization(num_vertices, edges, k, **options)
 
     monkeypatch.setattr("gridpair.router.project", recording_project)
     monkeypatch.setattr("gridpair.router.two_factorization", recording_two_factorization)
@@ -298,6 +327,24 @@ def test_euler_walks_visit_real_edges_only(monkeypatch):
     assert not over, f"{len(over)} walks above their bound, largest {max(over)}"
 
 
+def test_lone_demand_fixes_coordinates_in_order():
+    # a lone demand crosses in its u's layer at every level and its column
+    # hops are direct edges: the trail fixes coordinates first to last
+    rng = Random(9)
+    for t, n in ((2, 1), (6, 3), (18, 4), (5, 5)):
+        spec = GridSpec(t, n)
+        for _ in range(20):
+            u, v = rng.sample(range(spec.num_vertices), 2)
+            cur, want = list(vertex_from_rank(u, spec)), [u]
+            for i, c in enumerate(vertex_from_rank(v, spec)):
+                if cur[i] != c:
+                    cur[i] = c
+                    want.append(vertex_rank(tuple(cur), spec))
+            dg = from_pairing(spec, [(u, v)])
+            routing = solve(dg, seed=rng.randrange(9), unchecked=t < 18)
+            assert routing == {0: Trail(tuple(want))}
+
+
 def test_one_demand_on_k24_5_routes_quickly():
     spec = GridSpec(24, 5)
     dg = from_pairing(spec, [(0, spec.num_vertices - 1)])  # (0, ..., 0) -- (23, ..., 23)
@@ -323,7 +370,7 @@ def test_shorten_preserves_verification(monkeypatch):
     k18_2, k8_3 = GridSpec(18, 2), GridSpec(8, 3)
     cases = [
         (from_pairing(k18_2, random_pairing(k18_2, Random(12))), 12, False),
-        (from_pairing(k8_3, random_demand_multigraph(k8_3, 2, Random(0))), 0, True),
+        (from_pairing(k8_3, random_demand_multigraph(k8_3, 2, Random(1))), 1, True),
     ]
     for dg, seed, unchecked in cases:
         routing = solve(dg, seed=seed, unchecked=unchecked)
