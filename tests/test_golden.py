@@ -30,6 +30,7 @@ CASES = {
     "sparse_t18_n4_m50": ("sparse50", 18, 4, 105, False),
     "unchecked_t4_n2": ("pairing", 4, 2, 102, True),
     "unchecked_t6_n3": ("pairing", 6, 3, 103, True),
+    "unchecked_t4_n3": ("pairing", 4, 3, 103, True),
     "unchecked_t8_n3": ("pairing", 8, 3, 108, True),
 }
 
@@ -41,6 +42,7 @@ GOLDEN = {
     "sparse_t18_n4_m50": "5b57ef65648ed7a454c1c365009507ae7b58d1f804e2dd89bf87e85b7a0d5f23",
     "unchecked_t4_n2": "a9e469008c60cc47aa3ae5ee38db924c19fedea98700a6190d7a2ee9376d85ab",
     "unchecked_t6_n3": "075e24ca1c6dadd4ee5715e00f6a85b4a3dff3ebc7d7e1c4c2b647975c30741a",
+    "unchecked_t4_n3": "BaseSolverExhaustedError",
     "unchecked_t8_n3": "8ca48b3033e5853338f2242ecfeaaf27352c567cec560feea1e17db18594c3c5",
 }
 
