@@ -32,6 +32,7 @@ CASES = {
     "unchecked_t6_n3": ("pairing", 6, 3, 103, True),
     "unchecked_t4_n3": ("pairing", 4, 3, 103, True),
     "unchecked_t8_n3": ("pairing", 8, 3, 108, True),
+    "unchecked_t6_n5": ("pairing", 6, 5, 105, True),
 }
 
 GOLDEN = {
@@ -44,6 +45,7 @@ GOLDEN = {
     "unchecked_t6_n3": "075e24ca1c6dadd4ee5715e00f6a85b4a3dff3ebc7d7e1c4c2b647975c30741a",
     "unchecked_t4_n3": "BaseSolverExhaustedError",
     "unchecked_t8_n3": "8ca48b3033e5853338f2242ecfeaaf27352c567cec560feea1e17db18594c3c5",
+    "unchecked_t6_n5": "bdcff6544eab91b46bc09d601677e07a843b00573ee231dc879a23f617f75b0f",
 }
 
 
