@@ -18,12 +18,7 @@ from .errors import (
     InfeasibleBudgetError,
     SizeLimitError,
 )
-from .factorization import (
-    bipartite_matching_decomposition,
-    euler_orient,
-    group_factors,
-    two_factorization,
-)
+from .factorization import two_factorization
 from .formats import emit_instance, emit_routing, parse_instance, parse_routing
 from .grid import (
     GridSpec,
@@ -66,16 +61,13 @@ __all__ = [
     "VerificationReport",
     "Vertex",
     "Violation",
-    "bipartite_matching_decomposition",
     "build_subproblems",
     "choose_q",
     "degree_ratio",
     "edge_count",
     "emit_instance",
     "emit_routing",
-    "euler_orient",
     "from_pairing",
-    "group_factors",
     "oracle_solve",
     "parse_instance",
     "parse_routing",

@@ -18,20 +18,6 @@ from itertools import chain
 from typing import Sequence
 
 
-def euler_orient(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Tail of every edge when each component is walked along Euler circuits.
-
-    The head of edge i is its other endpoint. Each maximal closed walk is
-    oriented cyclically, so in-degree equals out-degree at every vertex. A
-    loop counts once in and once out. Raises ValueError for an endpoint
-    outside [0, num_vertices) or a vertex of odd degree.
-    """
-    odd = [v for v, d in enumerate(_degrees(num_vertices, edges)) if d % 2]
-    if odd:
-        raise ValueError(f"Euler orientation needs even degrees; odd at {odd[:5]}")
-    return _euler_walk(num_vertices, edges)
-
-
 def _degrees(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     """Degree of every vertex; a loop adds 2. Raises ValueError for an endpoint out of range."""
     if edges and not 0 <= min(map(min, edges)) <= max(map(max, edges)) < num_vertices:
@@ -44,7 +30,14 @@ def _degrees(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _euler_walk(num_vertices: int, edges: Sequence[tuple[int, int]]) -> list[int]:
-    """`euler_orient` without its checks, for graphs even and in range by construction."""
+    """Tail of every edge when each component is walked along Euler circuits.
+
+    The head of edge i is its other endpoint. Each maximal closed walk is
+    oriented cyclically, so in-degree equals out-degree at every vertex. A
+    loop counts once in and once out. The caller guarantees that every
+    degree is even and every endpoint lies in [0, num_vertices); nothing
+    here checks either.
+    """
     adj: list[list[int]] = [[] for _ in range(num_vertices)]
     for eid, (u, v) in enumerate(edges):
         adj[u].append(eid)
@@ -103,31 +96,6 @@ def two_factorization(
     return _edge_colouring(num_vertices, arcs, k, prefer)
 
 
-def bipartite_matching_decomposition(
-    num_left: int,
-    num_right: int,
-    edges: Sequence[tuple[int, int]],
-    k: int,
-) -> list[list[int]]:
-    """Split a k-regular bipartite multigraph into k perfect matchings.
-
-    Returns ascending edge-index lists: the colour classes of a proper
-    k-edge-colouring, each of which meets every vertex once.
-    """
-    if k < 1:
-        raise ValueError(f"regularity must be >= 1, got {k}")
-    deg_l = [0] * num_left
-    deg_r = [0] * num_right
-    for l, r in edges:
-        if not (0 <= l < num_left and 0 <= r < num_right):
-            raise ValueError(f"edge ({l}, {r}) outside side ranges")
-        deg_l[l] += 1
-        deg_r[r] += 1
-    if any(d != k for d in deg_l) or any(d != k for d in deg_r):
-        raise ValueError(f"graph is not {k}-regular on both sides")
-    return _edge_colouring(num_left, edges, k)
-
-
 def _edge_colouring(
     num_left: int,
     edges: Sequence[tuple[int, int]],
@@ -173,24 +141,3 @@ def _edge_colouring(
     for eid, c in enumerate(colour):
         classes[c].append(eid)
     return classes
-
-
-def group_factors(factors: Sequence[Sequence[int]], q: int, t: int) -> list[int]:
-    """Layer of every edge id when q/2 consecutive factors feed each of the t layers.
-
-    The factors partition the edge ids 0..m-1; factor i goes to layer i // (q/2).
-    Each factor contributes at most 2 to any vertex degree, so every layer's
-    subgraph has maximum degree at most q.
-    """
-    if q < 2 or q % 2:
-        raise ValueError(f"budget must be even and >= 2, got {q}")
-    expected = t * q // 2
-    if len(factors) != expected:
-        raise ValueError(f"expected {expected} factors for t={t}, q={q}, got {len(factors)}")
-    per_layer = q // 2
-    edge_layer = [0] * sum(map(len, factors))
-    for pos, factor in enumerate(factors):
-        layer = pos // per_layer
-        for eid in factor:
-            edge_layer[eid] = layer
-    return edge_layer

@@ -26,7 +26,7 @@ from typing import Hashable, Sequence
 
 from .demand import DemandGraph, choose_q, project, split_demands
 from .errors import BaseSolverExhaustedError, ClaimViolationError
-from .factorization import group_factors, two_factorization
+from .factorization import two_factorization
 from .grid import Trail
 
 Routing = dict[int, Trail]
@@ -284,7 +284,7 @@ def _exhaustive_pass(
 
 @cache
 def _layer_factors(t: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The factors `group_factors` sends to each layer: layer k gets k*q/2 .. k*q/2 + q/2 - 1."""
+    """The factors of each layer: layer k gets k*q/2 .. k*q/2 + q/2 - 1."""
     h = q // 2
     return tuple(tuple(range(k * h, k * h + h)) for k in range(t))
 
@@ -347,13 +347,16 @@ def _solve_rec(
         return solve_complete(t, demands, _derive_seed(seed, "kt", 0))
 
     intra, cross = split_demands(demands, t)
-    edge_layer: list[int] = []
+    edge_layer = [0] * len(cross)
     if cross:
         active, aux = project(cross, t, n)
         own = _layer_factors(t, q)
         prefer = [own[u % t] + own[v % t] for _, u, v in cross]  # u's layer first, then v's
         factors = two_factorization(len(active), aux, t * q // 2, prefer=prefer)
-        edge_layer = group_factors(factors, q, t)
+        for layer, fs in enumerate(own):
+            for f in fs:
+                for eid in factors[f]:
+                    edge_layer[eid] = layer
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {

@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpair import (
-    bipartite_matching_decomposition,
-    euler_orient,
-    group_factors,
-    two_factorization,
-)
-from gridpair import factorization
+from gridpair import factorization, two_factorization
 from helpers import assert_padded_factorization, random_regular_multigraph
 
 
@@ -37,9 +31,9 @@ def assert_valid_factorization(nv: int, edges, k: int, factors: list[list[int]])
 
 
 def out_in_degrees(nv: int, edges) -> tuple[list[int], list[int]]:
-    """Out- and in-degrees of the edges as oriented by euler_orient."""
+    """Out- and in-degrees of the edges as oriented by the Euler walk."""
     out, inc = [0] * nv, [0] * nv
-    for tail, (u, v) in zip(euler_orient(nv, edges), edges):
+    for tail, (u, v) in zip(factorization._euler_walk(nv, edges), edges):
         assert tail in (u, v)
         out[tail] += 1
         inc[v if tail == u else u] += 1
@@ -59,22 +53,11 @@ def test_euler_orient_double_loop():
     assert out_in_degrees(1, ((0, 0), (0, 0))) == ([2], [2])
 
 
-def test_euler_orient_rejects_odd_degree():
-    with pytest.raises(ValueError):
-        euler_orient(2, ((0, 1),))
-
-
-def test_euler_orient_rejects_edges_outside_vertex_range():
-    for edges in (((0, 2), (2, 0)), ((0, -1), (-1, 0))):
-        with pytest.raises(ValueError):
-            euler_orient(2, edges)
-
-
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_euler_orient_balances_random_even_graphs(seed, k, nv):
     edges = random_regular_multigraph(nv, 2 * k, Random(seed))
-    tails = euler_orient(nv, edges)
+    tails = factorization._euler_walk(nv, edges)
     assert len(tails) == len(edges)
     out, inc = out_in_degrees(nv, edges)
     assert out == inc
@@ -217,14 +200,14 @@ def test_edge_colouring_takes_a_preferred_colour_free_at_both_ends(seed, k, nv):
 
 def test_matching_decomposition_1_regular_identity():
     edges = ((0, 1), (1, 0), (2, 2))
-    out = bipartite_matching_decomposition(3, 3, edges, 1)
+    out = factorization._edge_colouring(3, edges, 1)
     assert out == [[0, 1, 2]]
 
 
 def test_matching_decomposition_even_cycles():
     # a bipartite 4-cycle as a 2-regular multigraph: alternating edges split out
     edges = ((0, 0), (0, 1), (1, 1), (1, 0))
-    out = bipartite_matching_decomposition(2, 2, edges, 2)
+    out = factorization._edge_colouring(2, edges, 2)
     assert len(out) == 2
     for matching in out:
         lefts = [edges[i][0] for i in matching]
@@ -236,7 +219,7 @@ def test_matching_decomposition_even_cycles():
 
 def test_matching_decomposition_k44():
     edges = tuple((l, r) for l in range(4) for r in range(4))
-    out = bipartite_matching_decomposition(4, 4, edges, 4)
+    out = factorization._edge_colouring(4, edges, 4)
     assert len(out) == 4
     seen = []
     for matching in out:
@@ -244,11 +227,6 @@ def test_matching_decomposition_k44():
         assert sorted(edges[i][1] for i in matching) == [0, 1, 2, 3]
         seen.extend(matching)
     assert sorted(seen) == list(range(16))
-
-
-def test_matching_decomposition_rejects_irregular():
-    with pytest.raises(ValueError):
-        bipartite_matching_decomposition(2, 2, ((0, 0), (0, 1), (1, 0)), 2)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 25))
@@ -261,7 +239,7 @@ def test_matching_decomposition_property(seed, k, side):
         perm = list(range(side))
         rng.shuffle(perm)
         edges.extend((l, perm[l]) for l in range(side))
-    out = bipartite_matching_decomposition(side, side, tuple(edges), k)
+    out = factorization._edge_colouring(side, tuple(edges), k)
     assert len(out) == k
     seen = []
     for matching in out:
@@ -271,24 +249,6 @@ def test_matching_decomposition_property(seed, k, side):
     assert sorted(seen) == list(range(len(edges)))
 
 
-def test_group_factors_q2():
-    assert group_factors([[0], [1], [2]], 2, 3) == [0, 1, 2]
-
-
-def test_group_factors_q4_consecutive():
-    assert group_factors([[i] for i in range(4)], 4, 2) == [0, 0, 1, 1]
-
-
-def test_group_factors_wrong_count():
-    with pytest.raises(ValueError):
-        group_factors([[0]], 2, 3)
-
-
-def test_group_factors_rejects_odd_budget():
-    with pytest.raises(ValueError):
-        group_factors([[0], [1], [2]], 3, 2)
-
-
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), st.integers(2, 8))
 @settings(max_examples=30, deadline=None)
 def test_grouped_layers_respect_degree_budget(seed, q, t):
@@ -296,14 +256,13 @@ def test_grouped_layers_respect_degree_budget(seed, q, t):
     nv = rng.randrange(1, 30)
     edges = random_regular_multigraph(nv, t * q, rng)
     factors = two_factorization(nv, edges, t * q // 2)
-    edge_layer = group_factors(factors, q, t)
-    assert len(edge_layer) == len(edges)
     per_layer_deg: dict[int, Counter] = {}
-    for eid, layer in enumerate(edge_layer):
-        u, v = edges[eid]
-        deg = per_layer_deg.setdefault(layer, Counter())
-        deg[u] += 1
-        deg[v] += 1
+    for f, factor in enumerate(factors):
+        deg = per_layer_deg.setdefault(f // (q // 2), Counter())
+        for eid in factor:
+            u, v = edges[eid]
+            deg[u] += 1
+            deg[v] += 1
     for deg in per_layer_deg.values():
         assert max(deg.values()) <= q
 

@@ -331,6 +331,12 @@ def test_exit_table_covers_every_error_class():
     assert set(GridpairError.__subclasses__()) == set(EXIT_TABLE)
 
 
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from gridpair import *", namespace)  # a stale __all__ entry raises here
+    assert set(gridpair.__all__) <= namespace.keys()
+
+
 @pytest.mark.parametrize(
     "error, code, message",
     [

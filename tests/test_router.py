@@ -13,7 +13,6 @@ from gridpair import (
     Trail,
     build_subproblems,
     from_pairing,
-    group_factors,
     oracle_solve,
     project,
     random_demand_multigraph,
@@ -146,7 +145,11 @@ def _layers_of_crossings(cross: list[tuple[int, int, int]]) -> list[int]:
     """Layer each cross demand (key, u, v) of K_18^2 at q = 2 crosses in, as the router picks it."""
     active, edges = project(cross, 18, 2)
     prefer = [(u % 18, v % 18) for _, u, v in cross]
-    return group_factors(two_factorization(len(active), edges, 18, prefer=prefer), 2, 18)
+    layer = [0] * len(cross)
+    for f, factor in enumerate(two_factorization(len(active), edges, 18, prefer=prefer)):
+        for eid in factor:
+            layer[eid] = f  # q = 2: factor f feeds layer f // (q/2) = f
+    return layer
 
 
 def _route(*pairs: tuple[int, int]) -> dict[int, Trail]:
