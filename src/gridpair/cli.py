@@ -196,6 +196,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    import resource  # POSIX only, and only bench reads it
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)  # bytes there, KiB here
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = _grid(args)
     if args.seeds < 1:
@@ -210,17 +218,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         routing = solve(dg, seed=base_seed + i, unchecked=args.unchecked)
         elapsed = time.perf_counter() - start
         times.append(elapsed)
+        start = time.perf_counter()
         report = verify(spec, dg, routing)
+        checked = time.perf_counter() - start
         all_ok = all_ok and report.ok
         print(
             f"seed {base_seed + i}: {len(routing)} demands in {elapsed * 1000:.1f} ms, "
             f"max trail {report.stats.max_trail_length}, "
-            f"verify {'ok' if report.ok else 'FAILED'}"
+            f"verify {'ok' if report.ok else 'FAILED'} in {checked * 1000:.1f} ms"
         )
     print(
         f"summary: {args.seeds} runs on K_{spec.t}^{spec.n}, "
         f"mean {sum(times) / len(times) * 1000:.1f} ms, "
-        f"max {max(times) * 1000:.1f} ms"
+        f"max {max(times) * 1000:.1f} ms, "
+        f"peak RSS {_peak_rss_mb():.1f} MB"
     )
     return EXIT_OK if all_ok else EXIT_BUG
 

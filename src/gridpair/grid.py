@@ -76,7 +76,7 @@ def edge_count(spec: GridSpec) -> int:
     return spec.n * spec.t ** (spec.n - 1) * (spec.t * (spec.t - 1) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trail:
     """Walk over vertex ranks with no repeated edge; vertices may repeat."""
 

@@ -17,7 +17,6 @@ edge-disjointness composes across subproblems.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache
@@ -30,6 +29,10 @@ from .factorization import two_factorization
 from .grid import Trail
 
 Routing = dict[int, Trail]
+
+# Where a subproblem sits: the root seed, then one ("layer", k), ("column", c)
+# or ("kt", 0) step per level below it. `_derive_seed` turns it into an int.
+SeedPath = tuple[int | tuple[str, int], ...]
 
 
 @dataclass
@@ -121,15 +124,16 @@ _EXHAUSTIVE_TRAIL_CAP = 4
 def solve_complete(
     t: int,
     demands: Sequence[tuple[Hashable, int, int]],
-    seed: int = 0,
+    seed: int | SeedPath = 0,
 ) -> dict[Hashable, tuple[int, ...]]:
     """Pairwise edge-disjoint trails for demands (key, from, to) on K_t.
 
     Greedy passes first: direct edges, then length-2 detours through the
     least-loaded intermediate, then length-3 detours. On failure the demand
     order is reshuffled by `Random(seed)`, built at the first failure only,
-    up to 200 times; for t <= 8 an exhaustive search runs last. Raises
-    BaseSolverExhaustedError when everything fails.
+    up to 200 times; a seed path is turned into its int seed there too. For
+    t <= 8 an exhaustive search runs last. Raises BaseSolverExhaustedError
+    when everything fails.
     """
     for key, x, y in demands:
         if not (0 <= x < t and 0 <= y < t):
@@ -142,7 +146,7 @@ def solve_complete(
     routed = _greedy_pass(t, demands, order)
     if routed is not None:
         return routed
-    rng = Random(seed)
+    rng = Random(seed if isinstance(seed, int) else _derive_seed(seed))
     for _ in range(_MAX_RESTARTS):
         rng.shuffle(order)
         routed = _greedy_pass(t, demands, order)
@@ -289,10 +293,19 @@ def _layer_factors(t: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(k * h, k * h + h)) for k in range(t))
 
 
-def _derive_seed(seed: int, tag: str, index: int) -> int:
-    """Stable per-subproblem seed, independent of scheduling and worker count."""
-    digest = hashlib.blake2b(f"{seed}:{tag}:{index}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _derive_seed(path: SeedPath) -> int:
+    """The int seed of a subproblem, independent of scheduling and worker count.
+
+    Each step folds the seed so far with blake2b of "seed:tag:index". Only a
+    greedy restart needs it, so hashlib is loaded only then.
+    """
+    import hashlib
+
+    seed, *steps = path
+    for tag, index in steps:
+        digest = hashlib.blake2b(f"{seed}:{tag}:{index}".encode(), digest_size=8).digest()
+        seed = int.from_bytes(digest, "big")
+    return seed
 
 
 def solve(
@@ -307,20 +320,21 @@ def solve(
     One-dimensional instances go straight to the complete-graph solver. In
     higher dimensions the cross-column demands are spread over layers by a
     2-factor decomposition, layers recurse, columns are solved directly, and
-    the pieces are concatenated per demand. Every trail is a sequence of
-    vertex ranks that starts at its demand's u, and it is a path: column c
-    and layer k share only the vertex c*t + k, and every base-solver trail
-    is a path, so no vertex repeats. The budget q comes from the
-    maximum demand degree via choose_q; `unchecked` skips its feasibility
-    gate and only rounds the degree up to even (best effort; the result is
-    still worth verifying).
+    each piece is appended, at its grid ranks, to its demand's one list. Every
+    trail is a sequence of vertex ranks that starts at its demand's u, and it
+    is a path: column c and layer k share only the vertex c*t + k, and every
+    base-solver trail is a path, so no vertex repeats. The budget q comes
+    from the maximum demand degree via choose_q; `unchecked` skips its
+    feasibility gate and only rounds the degree up to even (best effort; the
+    result is still worth verifying).
     """
     if not dg.edges:
         return {}
     spec, delta = dg.spec, dg.max_degree
     q = max(2, delta + delta % 2) if unchecked else choose_q(spec, delta)
-    trails = _solve_rec(spec.t, spec.n, dg.edges, q, seed, diagnostics)
-    return {d.id: Trail(tuple(trails[d.id])) for d in dg.edges}
+    trails = {d.id: [d.u] for d in dg.edges}
+    _solve_rec(spec.t, spec.n, dg.edges, q, (seed,), 1, 0, trails, diagnostics)
+    return {d.id: Trail(tuple(trails.pop(d.id))) for d in dg.edges}
 
 
 def _solve_rec(
@@ -328,23 +342,35 @@ def _solve_rec(
     n: int,
     demands: Sequence[tuple[int, int, int]],
     q: int,
-    seed: int,
+    path: SeedPath,
+    scale: int,
+    offset: int,
+    trails: dict[int, list[int]],
     diagnostics: RouteDiagnostics | None,
-) -> dict[int, Sequence[int]]:
-    """Rank trails of K_t^n, keyed like `demands` and each starting at its demand's u."""
+) -> None:
+    """Append the trail of each demand through this K_t^n to trails[key].
+
+    Rank r here is grid rank r*scale + offset. Each trails[key] already ends
+    at its demand's u, so a piece is appended without its first vertex. A
+    cross demand's pieces go in trail order: its u-side column hop, then its
+    layer (depth first), then its v-side column hop.
+    """
     if len(demands) == 1:
         # What the recursion gives a lone demand: it crosses in its u's layer
         # (that factor is free) and its column hop is a direct edge, so each
         # level fixes one coordinate, first to last, skipping equal ones.
-        ((key, u, v),) = demands
-        trail = [u]
+        ((key, r, v),) = demands
+        trail = trails[key]
         for place in (t**i for i in range(n - 1, -1, -1)):
-            step = (v // place % t - trail[-1] // place % t) * place
+            step = (v // place % t - r // place % t) * place
             if step:
-                trail.append(trail[-1] + step)
-        return {key: trail}
+                r += step
+                trail.append(r * scale + offset)
+        return
     if n == 1:
-        return solve_complete(t, demands, _derive_seed(seed, "kt", 0))
+        for key, piece in solve_complete(t, demands, path + (("kt", 0),)).items():
+            trails[key] += [x * scale + offset for x in piece[1:]]
+        return
 
     intra, cross = split_demands(demands, t)
     edge_layer = [0] * len(cross)
@@ -360,26 +386,24 @@ def _solve_rec(
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
     column_trails = {
-        c: solve_complete(t, ds, _derive_seed(seed, "column", c))
-        for c, ds in columns.items()
-    }
-    layer_trails = {
-        k: _solve_rec(t, n - 1, ds, q, _derive_seed(seed, "layer", k), diagnostics)
-        for k, ds in enumerate(layers)
-        if ds
+        c: solve_complete(t, ds, path + (("column", c),)) for c, ds in columns.items()
     }
 
-    # Column c's vertex x is grid rank c*t + x; layer k's vertex c is c*t + k.
-    trails: dict[int, Sequence[int]] = {}
+    def append_column_piece(key: int, c: int) -> None:
+        # Column c's vertex x is rank c*t + x.
+        base = c * t * scale + offset
+        trails[key] += [base + x * scale for x in column_trails[c][key][1:]]
+
     for key, u, _ in intra:
-        c = u // t
-        trails[key] = [c * t + x for x in column_trails[c][key]]
-    for eid, (key, u, v) in enumerate(cross):
-        k = edge_layer[eid]
-        cu, cv = u // t, v // t
-        trail = [u] if u % t == k else [cu * t + x for x in column_trails[cu][key]]
-        trail += [c * t + k for c in layer_trails[k][key][1:]]
-        if v % t != k:
-            trail += [cv * t + x for x in column_trails[cv][key][1:]]
-        trails[key] = trail
-    return trails
+        append_column_piece(key, u // t)
+    for eid, (key, u, _) in enumerate(cross):
+        if u % t != edge_layer[eid]:
+            append_column_piece(key, u // t)
+    # Layer k's vertex c is rank c*t + k.
+    for k, ds in enumerate(layers):
+        if ds:
+            sub = path + (("layer", k),)
+            _solve_rec(t, n - 1, ds, q, sub, scale * t, offset + k * scale, trails, diagnostics)
+    for eid, (key, _, v) in enumerate(cross):
+        if v % t != edge_layer[eid]:
+            append_column_piece(key, v // t)

@@ -79,7 +79,7 @@ def verify(
     # with 0 < k < t and both lie in one block of t^(d+1) consecutive ranks;
     # the digits below d then agree as well. Maps hi - lo to that block size.
     block = {k * t**d: t ** (d + 1) for d in range(spec.n) for k in range(1, t)}
-    first_use: dict[int, tuple[int, int, int]] = {}  # endpoints and first trail per edge
+    first_use: dict[int, int] = {}  # first trail of each edge
     repeats: dict[int, int] = {}  # uses of each edge taken more than once
     shared: dict[int, list[int]] = {}  # trails of each edge that more than one trail takes
     histogram: dict[int, int] = {}
@@ -118,12 +118,11 @@ def verify(
                 )
                 continue
             key = lo * size + hi
-            first_ends = first_use.get(key)
-            if first_ends is None:
-                first_use[key] = (u, v, did)
+            first = first_use.get(key)
+            if first is None:
+                first_use[key] = did
                 continue
             repeats[key] = repeats.get(key, 1) + 1
-            first = first_ends[2]
             if first != did:
                 users = shared.setdefault(key, [first])
                 if users[-1] != did:  # trails run in id order, so each is listed once
@@ -137,8 +136,20 @@ def verify(
         place = span // t
         return -place, lo // span * place + lo % place, key
 
+    # The orientation of each repeated edge's first use, for the report: one
+    # scan of each trail that first took a repeated edge, in id order, so an
+    # edge an earlier trail took first is already set when a later one meets it.
+    first_ends: dict[int, tuple[int, int]] = {}
+    for did in sorted({first_use[key] for key in repeats}):
+        vs = routing[did].vertices
+        for u, v in zip(vs, vs[1:]):
+            key = u * size + v if u < v else v * size + u
+            if key in repeats and key not in first_ends:
+                first_ends[key] = (u, v)
+
     for key in sorted(repeats, key=grid_order):
-        u, v, first = first_use[key]
+        u, v = first_ends[key]
+        first = first_use[key]
         users = tuple(shared.get(key, (first,)))
         violations.append(
             Violation(

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,11 @@ def test_bench_cli(capsys):
     assert main(["bench", "18", "1", "--seeds", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "summary" in out
+    assert re.search(r"verify ok in \d+\.\d ms", out)
+    # peak RSS of the process in MB, on the summary line
+    summary = out.splitlines()[-1]
+    peak = re.search(r", peak RSS (\d+\.\d) MB$", summary)
+    assert peak and 1 < float(peak.group(1)) < 100_000, summary
 
 
 def test_bench_rejects_fewer_than_one_seed(capsys):

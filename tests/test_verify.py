@@ -138,6 +138,27 @@ def test_verify_duplicate_path_is_linear():
     assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
 
 
+def test_verify_repeats_inside_one_long_trail_are_linear():
+    # One trail on K_120^2 snakes through every column (up column 0, down
+    # column 1, ...), walks the same snake back to rank 0 and steps to 1, so
+    # each of its 14,399 snake edges repeats inside that one trail.
+    t = 120
+    spec = GridSpec(t, 2)
+    snake = [c * t + (x if c % 2 == 0 else t - 1 - x) for c in range(t) for x in range(t)]
+    walk = snake + snake[-2::-1] + [1]
+    assert len(walk) - 1 == 28799
+    dg = from_pairing(spec, [(0, 1)])
+    start = time.perf_counter()
+    report = verify(spec, dg, {0: Trail(tuple(walk))})
+    elapsed = time.perf_counter() - start
+    assert len(report.violations) == 14399
+    assert {v.kind for v in report.violations} == {"DUPLICATE_EDGE"}
+    assert report.violations[0].detail == "edge (1, 0) -- (2, 0) used 2 times"
+    # column 119 runs downwards, so its first use goes from the higher rank to the lower
+    assert report.violations[-1].detail == "edge (119, 119) -- (119, 118) used 2 times"
+    assert elapsed < 2.0, f"verify took {elapsed:.2f} s"
+
+
 def test_degree_ratio_values():
     exact, tn_convention = degree_ratio(GridSpec(18, 2))
     assert tn_convention == pytest.approx(4.317, abs=5e-4)
