@@ -10,9 +10,10 @@ cross demand, the factors of the layer of u and then of v; any proper
 colouring keeps the degree claims, and a demand that crosses in an
 endpoint's own layer needs no column hop at that endpoint. Layers recurse
 one dimension down, columns and one-dimensional instances are solved
-directly on the complete graph, and the pieces are concatenated per
-original demand. Column and layer edge sets are pairwise disjoint, so
-edge-disjointness composes across subproblems.
+directly on the complete graph, and each piece is appended at its grid
+ranks to its original demand's one list, so a trail is written once.
+Column and layer edge sets are pairwise disjoint, so edge-disjointness
+composes across subproblems.
 """
 
 from __future__ import annotations
