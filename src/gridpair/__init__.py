@@ -5,10 +5,8 @@ from .demand import (
     DemandGraph,
     choose_q,
     from_pairing,
-    project,
     random_demand_multigraph,
     random_pairing,
-    split_demands,
 )
 from .errors import (
     BaseSolverExhaustedError,
@@ -31,7 +29,6 @@ from .grid import (
 from .router import (
     RouteDiagnostics,
     Routing,
-    build_subproblems,
     solve,
     solve_complete,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "VerificationReport",
     "Vertex",
     "Violation",
-    "build_subproblems",
     "choose_q",
     "degree_ratio",
     "edge_count",
@@ -71,12 +67,10 @@ __all__ = [
     "oracle_solve",
     "parse_instance",
     "parse_routing",
-    "project",
     "random_demand_multigraph",
     "random_pairing",
     "solve",
     "solve_complete",
-    "split_demands",
     "two_factorization",
     "verify",
     "vertex_from_rank",

@@ -10,7 +10,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 from random import Random
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 from .demand import from_pairing, random_demand_multigraph, random_pairing
 from .errors import (
@@ -212,8 +212,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     all_ok = True
     times = []
     for i in range(args.seeds):
-        pairs = _random_pairs(spec, args.mode, args.q, Random(base_seed + i), args.unchecked)
-        dg = from_pairing(spec, pairs)
+        # no name holds the pairs list, so it is freed before solve runs
+        dg = from_pairing(
+            spec, _random_pairs(spec, args.mode, args.q, Random(base_seed + i), args.unchecked)
+        )
         start = time.perf_counter()
         routing = solve(dg, seed=base_seed + i, unchecked=args.unchecked)
         elapsed = time.perf_counter() - start
@@ -236,8 +238,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_BUG
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise FormatError, so main reports them in one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridpair",
         description="Edge-disjoint demand routing on complete grid graphs K_t^n",
     )
@@ -294,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; every failure it raises leaves through EXIT_TABLE."""
-    args = build_parser().parse_args(argv)
+    """Run one command; every failure, a usage error included, leaves through EXIT_TABLE."""
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code

@@ -13,7 +13,9 @@ one dimension down, columns and one-dimensional instances are solved
 directly on the complete graph, and each piece is appended at its grid
 ranks to its original demand's one list, so a trail is written once.
 Column and layer edge sets are pairwise disjoint, so edge-disjointness
-composes across subproblems.
+composes across subproblems. A solve makes one `Random(seed)`, and every base
+solver restart draws from it in the fixed order the recursion visits its
+subproblems, so the routing depends on the (instance, seed) alone.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .factorization import two_factorization
 from .grid import Trail
 
 Routing = dict[int, Trail]
-
-# Where a subproblem sits: the root seed, then one ("layer", k), ("column", c)
-# or ("kt", 0) step per level below it. `_derive_seed` turns it into an int.
-SeedPath = tuple[int | tuple[str, int], ...]
 
 
 @dataclass
@@ -125,16 +123,16 @@ _EXHAUSTIVE_TRAIL_CAP = 4
 def solve_complete(
     t: int,
     demands: Sequence[tuple[Hashable, int, int]],
-    seed: int | SeedPath = 0,
+    seed: int | Random = 0,
 ) -> dict[Hashable, tuple[int, ...]]:
     """Pairwise edge-disjoint trails for demands (key, from, to) on K_t.
 
     Greedy passes first: direct edges, then length-2 detours through the
     least-loaded intermediate, then length-3 detours. On failure the demand
-    order is reshuffled by `Random(seed)`, built at the first failure only,
-    up to 200 times; a seed path is turned into its int seed there too. For
-    t <= 8 an exhaustive search runs last. Raises BaseSolverExhaustedError
-    when everything fails.
+    order is reshuffled, up to 200 times, by `seed`: a Random is drawn from
+    as given (the router passes its solve's one RNG), and an int becomes
+    `Random(seed)` at the first failure only. For t <= 8 an exhaustive
+    search runs last. Raises BaseSolverExhaustedError when everything fails.
     """
     for key, x, y in demands:
         if not (0 <= x < t and 0 <= y < t):
@@ -147,7 +145,7 @@ def solve_complete(
     routed = _greedy_pass(t, demands, order)
     if routed is not None:
         return routed
-    rng = Random(seed if isinstance(seed, int) else _derive_seed(seed))
+    rng = seed if isinstance(seed, Random) else Random(seed)
     for _ in range(_MAX_RESTARTS):
         rng.shuffle(order)
         routed = _greedy_pass(t, demands, order)
@@ -294,21 +292,6 @@ def _layer_factors(t: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(k * h, k * h + h)) for k in range(t))
 
 
-def _derive_seed(path: SeedPath) -> int:
-    """The int seed of a subproblem, independent of scheduling and worker count.
-
-    Each step folds the seed so far with blake2b of "seed:tag:index". Only a
-    greedy restart needs it, so hashlib is loaded only then.
-    """
-    import hashlib
-
-    seed, *steps = path
-    for tag, index in steps:
-        digest = hashlib.blake2b(f"{seed}:{tag}:{index}".encode(), digest_size=8).digest()
-        seed = int.from_bytes(digest, "big")
-    return seed
-
-
 def solve(
     dg: DemandGraph,
     *,
@@ -334,7 +317,7 @@ def solve(
     spec, delta = dg.spec, dg.max_degree
     q = max(2, delta + delta % 2) if unchecked else choose_q(spec, delta)
     trails = {d.id: [d.u] for d in dg.edges}
-    _solve_rec(spec.t, spec.n, dg.edges, q, (seed,), 1, 0, trails, diagnostics)
+    _solve_rec(spec.t, spec.n, dg.edges, q, Random(seed), 1, 0, trails, diagnostics)
     return {d.id: Trail(tuple(trails.pop(d.id))) for d in dg.edges}
 
 
@@ -343,7 +326,7 @@ def _solve_rec(
     n: int,
     demands: Sequence[tuple[int, int, int]],
     q: int,
-    path: SeedPath,
+    rng: Random,
     scale: int,
     offset: int,
     trails: dict[int, list[int]],
@@ -369,7 +352,7 @@ def _solve_rec(
                 trail.append(r * scale + offset)
         return
     if n == 1:
-        for key, piece in solve_complete(t, demands, path + (("kt", 0),)).items():
+        for key, piece in solve_complete(t, demands, rng).items():
             trails[key] += [x * scale + offset for x in piece[1:]]
         return
 
@@ -386,9 +369,7 @@ def _solve_rec(
                     edge_layer[eid] = layer
     layers, columns = build_subproblems(intra, cross, edge_layer, t, q, n, diagnostics)
 
-    column_trails = {
-        c: solve_complete(t, ds, path + (("column", c),)) for c, ds in columns.items()
-    }
+    column_trails = {c: solve_complete(t, ds, rng) for c, ds in columns.items()}
 
     def append_column_piece(key: int, c: int) -> None:
         # Column c's vertex x is rank c*t + x.
@@ -403,8 +384,7 @@ def _solve_rec(
     # Layer k's vertex c is rank c*t + k.
     for k, ds in enumerate(layers):
         if ds:
-            sub = path + (("layer", k),)
-            _solve_rec(t, n - 1, ds, q, sub, scale * t, offset + k * scale, trails, diagnostics)
+            _solve_rec(t, n - 1, ds, q, rng, scale * t, offset + k * scale, trails, diagnostics)
     for eid, (key, _, v) in enumerate(cross):
         if v % t != edge_layer[eid]:
             append_column_piece(key, v // t)

@@ -231,26 +231,36 @@ def test_criterion_8_degree_statistic():
 
 
 def test_criterion_9_jobs_determinism(tmp_path):
-    inst = tmp_path / "inst.txt"
-    out_a = tmp_path / "a.txt"
-    out_b = tmp_path / "b.txt"
-    assert cli_main(["gen", "18", "2", "--mode", "pairing", "--seed", "11", "-o", str(inst)]) == 0
-    # the child processes import the same gridpair as this test run
+    # Two processes per instance that differ in PYTHONHASHSEED and --jobs must
+    # write the same bytes: on a K_18^2 pairing and on a K_6^5 pairing whose
+    # base solver restarts in two columns, both drawing from the solve's one RNG.
+    # The child processes import the same gridpair as this test run.
     src = str(Path(gridpair.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    for out, jobs in ((out_a, "1"), (out_b, "4")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gridpair", "route", str(inst), str(out),
-             "--seed", "5", "--jobs", jobs],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-    identical = out_a.read_bytes() == out_b.read_bytes()
+    compared = []
+    for gen_args, route_args in (
+        (["18", "2", "--seed", "11"], ["--seed", "5"]),
+        (["6", "5", "--seed", "41"], ["--seed", "41", "--unchecked"]),
+    ):
+        inst = tmp_path / "inst.txt"
+        assert cli_main(["gen", *gen_args, "-o", str(inst)]) == 0
+        outputs = []
+        for hash_seed, jobs in (("0", "1"), ("1", "4")):
+            out = tmp_path / f"routing_{hash_seed}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gridpair", "route", str(inst), str(out),
+                 *route_args, "--jobs", jobs],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        grid = f"K_{gen_args[0]}^{gen_args[1]}"
+        compared.append((grid, outputs[0] == outputs[1], len(outputs[0])))
     _report(
-        "criterion 9 (byte-identical output across --jobs, separate processes)",
-        identical,
-        f"{out_a.stat().st_size} bytes compared",
+        "criterion 9 (byte-identical output across PYTHONHASHSEED and --jobs, separate processes)",
+        all(same for _, same, _ in compared),
+        ", ".join(f"{grid}: {size} bytes {'equal' if same else 'DIFFER'}"
+                  for grid, same, size in compared),
     )

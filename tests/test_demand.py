@@ -9,13 +9,12 @@ from gridpair import (
     GridSpec,
     choose_q,
     from_pairing,
-    project,
     random_demand_multigraph,
     random_pairing,
     solve,
-    split_demands,
     two_factorization,
 )
+from gridpair.demand import project, split_demands
 from gridpair.errors import InfeasibleBudgetError
 from helpers import assert_padded_factorization
 

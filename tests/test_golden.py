@@ -32,9 +32,10 @@ CASES = {
     "unchecked_t6_n3": ("pairing", 6, 3, 103, True),
     "unchecked_t4_n3": ("pairing", 4, 3, 103, True),
     "unchecked_t8_n3": ("pairing", 8, 3, 108, True),
+    # Greedy restarts deep in the recursion pin the order in which restarts
+    # draw from the solve's one RNG: t6_n5 restarts one column of layer 3/5,
+    # s36 one of layer 0/0/1, s41 one of layer 0/1 and then one of layer 1.
     "unchecked_t6_n5": ("pairing", 6, 5, 105, True),
-    # Greedy restarts deep in the recursion pin the derived per-subproblem seed:
-    # s36 restarts one column of layer 0/0/1, s41 columns of layers 0/1 and 1.
     "restart_t6_n5_s36": ("pairing", 6, 5, 36, True),
     "restart_t6_n5_s41": ("pairing", 6, 5, 41, True),
 }
@@ -49,9 +50,9 @@ GOLDEN = {
     "unchecked_t6_n3": "075e24ca1c6dadd4ee5715e00f6a85b4a3dff3ebc7d7e1c4c2b647975c30741a",
     "unchecked_t4_n3": "BaseSolverExhaustedError",
     "unchecked_t8_n3": "8ca48b3033e5853338f2242ecfeaaf27352c567cec560feea1e17db18594c3c5",
-    "unchecked_t6_n5": "bdcff6544eab91b46bc09d601677e07a843b00573ee231dc879a23f617f75b0f",
-    "restart_t6_n5_s36": "5fdc5c9672ddf496e244b05d4b028516fb9c4de232f512f7d4378a1f89c0c021",
-    "restart_t6_n5_s41": "c04281a55145afeb778313c2328e0ae9929ad1d9a356abf3e5386d7ec22c15b0",
+    "unchecked_t6_n5": "698a7773e1022ff26b31b6717c249bb15570fb4cf1f351b28e086c9f818326a1",
+    "restart_t6_n5_s36": "7145ee9ccf222a0b762b7ced0fe8c48306747d1a7ede0a6403291c02b30d5e35",
+    "restart_t6_n5_s41": "ab43570ad30049d05556b7cdd95a408d973bf5bb2dfeb95cf6d356baadb66d70",
 }
 
 

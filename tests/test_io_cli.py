@@ -307,6 +307,42 @@ def test_bench_rejects_fewer_than_one_seed(capsys):
         assert captured.err == f"error: --seeds must be >= 1, got {seeds}\n"
 
 
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: gridpair"), captured.err
+    return lines[0]
+
+
+def test_usage_error_malformed_argument_exits_5(capsys):
+    assert main(["bench", "18", "x"]) == 5
+    assert _one_error_line(capsys) == "error: gridpair bench: argument n: invalid int value: 'x'"
+
+
+def test_usage_error_unknown_option_exits_5(tmp_path, capsys):
+    inst, out = str(tmp_path / "inst.txt"), str(tmp_path / "out.txt")
+    assert main(["route", inst, out, "--bogus"]) == 5
+    # which parser (gridpair or gridpair route) reports it is left to argparse
+    assert _one_error_line(capsys).endswith(": unrecognized arguments: --bogus")
+
+
+def test_usage_error_missing_argument_exits_5(tmp_path, capsys):
+    assert main(["route", str(tmp_path / "inst.txt")]) == 5
+    assert _one_error_line(capsys) == (
+        "error: gridpair route: the following arguments are required: output"
+    )
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["route", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: gridpair") and captured.err == ""
+
+
 def test_bench_multigraph_mode(capsys):
     assert main(["bench", "18", "1", "--seeds", "1", "--mode", "multigraph", "--q", "2"]) == 0
     assert "verify ok" in capsys.readouterr().out
