@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from random import Random
 from typing import Callable, NoReturn, Sequence, TypeVar
@@ -175,10 +174,11 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _report_json(report: VerificationReport) -> str:
+    # The dataclasses' own field dicts, not deep copies: json.dumps only reads them.
     payload = {
         "ok": report.ok,
-        "violations": [asdict(v) for v in report.violations],
-        "stats": asdict(report.stats),
+        "violations": [vars(v) for v in report.violations],
+        "stats": vars(report.stats),
     }
     return json.dumps(payload, indent=2, sort_keys=True, default=list)
 
@@ -229,6 +229,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"max trail {report.stats.max_trail_length}, "
             f"verify {'ok' if report.ok else 'FAILED'} in {checked * 1000:.1f} ms"
         )
+        del dg, routing, report  # the next seed's instance and routing need not share the peak
     print(
         f"summary: {args.seeds} runs on K_{spec.t}^{spec.n}, "
         f"mean {sum(times) / len(times) * 1000:.1f} ms, "

@@ -10,38 +10,95 @@ Routing:
     <id> <len> <v0> | <v1> | ... | <v_len>
 
 Files hold coordinates; demands and trails in memory hold vertex ranks.
-Parsing range-checks and ranks every vertex once, emitting renders every
-rank once.
+All four converters work on chunks of `_CHUNK` lines, and no Python loop
+runs per coordinate. A parser splits each line of a chunk once and checks
+the chunk's shape with list operations. Then every coordinate token is
+looked up in a table for its position that maps it to its coordinate times
+its place value, and the lookups are summed into ranks. An emitter cuts a
+chunk's ranks into digits and names each digit from one table.
+
+A chunk the bulk path refuses is read again line by line. That slower code
+accepts what the bulk path cannot take (a vertex written `0|1`, say) and
+otherwise raises the first bad line's error, naming its line number.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from itertools import accumulate, chain, repeat
+from operator import add, eq, floordiv, itemgetter, mod
+from typing import Iterable, Mapping
 
 from .demand import DemandEdge, DemandGraph
 from .errors import FormatError
 from .grid import GridSpec, Trail, vertex_from_rank, vertex_rank
 
+# Lines per bulk step: big enough that per-chunk overhead vanishes, small
+# enough that a chunk's token lists add little to the file text at peak.
+_CHUNK = 256
 
-def _renderer(spec: GridSpec) -> Callable[[int], str]:
-    """Rank -> its coordinates as space-separated text, each rank rendered once."""
-    text: dict[int, str] = {}
+_after_head = itemgetter(slice(2, None))
 
-    def render(rank: int) -> str:
-        coords = text.get(rank)
-        if coords is None:
-            coords = text[rank] = " ".join(map(str, vertex_from_rank(rank, spec)))
-        return coords
 
-    return render
+class _PlaceValues(dict):
+    """Coordinate token -> coordinate * place value, for one position of a vertex.
+
+    Holds the t canonical tokens. `__missing__` reads any other token as
+    `int()` does (so `03` and `+3` are 3) and raises ValueError unless it is
+    a coordinate in [0, t).
+    """
+
+    def __init__(self, t: int, place: int) -> None:
+        super().__init__(zip(map(str, range(t)), range(0, t * place, place)))
+        self.t, self.place = t, place
+
+    def __missing__(self, token: str) -> int:
+        c = int(token)
+        if not 0 <= c < self.t:
+            raise ValueError(token)
+        return c * self.place
+
+
+def _place_values(spec: GridSpec) -> list[_PlaceValues]:
+    """One token table per coordinate position, the most significant first."""
+    t, n = spec.t, spec.n
+    return [_PlaceValues(t, t ** (n - 1 - i)) for i in range(n)]
+
+
+def _ranks(tokens: list[str], start: int, step: int, tables: list[_PlaceValues]) -> list[int]:
+    """Ranks of the vertices whose coordinates are tokens[start + i :: step], i < n."""
+    ranks = list(map(tables[0].__getitem__, tokens[start::step]))
+    for i in range(1, len(tables)):
+        ranks = list(map(add, ranks, map(tables[i].__getitem__, tokens[start + i :: step])))
+    return ranks
+
+
+def _render(ranks: list[int], spec: GridSpec, names: list[str]) -> Iterable[str]:
+    """Each rank's coordinates as space-separated text; names[c] is str(c)."""
+    t, n, size = spec.t, spec.n, spec.num_vertices
+    if ranks and not (0 <= min(ranks) and max(ranks) < size):
+        for rank in ranks:
+            vertex_from_rank(rank, spec)  # raises, naming the rank
+    digits = [
+        map(names.__getitem__, map(mod, map(floordiv, ranks, repeat(t ** (n - 1 - i))), repeat(t)))
+        for i in range(n)
+    ]
+    return map(" ".join, zip(*digits))
+
+
+def _chunks(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
+    """(index of the first line, lines) for each chunk of _CHUNK lines."""
+    for start in range(0, len(lines), _CHUNK):
+        yield start, lines[start : start + _CHUNK]
 
 
 def emit_instance(dg: DemandGraph) -> str:
-    spec, render = dg.spec, _renderer(dg.spec)
-    lines = [f"GRID {spec.t} {spec.n}", f"DEMANDS {len(dg.edges)}"]
-    for did, u, v in dg.edges:
-        lines.append(f"{did} {render(u)} {render(v)}")
-    return "\n".join(lines) + "\n"
+    spec, names = dg.spec, list(map(str, range(dg.spec.t)))
+    parts = [f"GRID {spec.t} {spec.n}\nDEMANDS {len(dg.edges)}\n"]
+    for _, chunk in _chunks(dg.edges):
+        ids, us, vs = zip(*chunk)
+        lines = map("{} {} {}\n".format, ids, _render(us, spec, names), _render(vs, spec, names))
+        parts.append("".join(lines))
+    return "".join(parts)
 
 
 def _int(token: str, line_no: int, what: str) -> int:
@@ -68,6 +125,40 @@ def _rank(coords: tuple[int, ...], spec: GridSpec, line_no: int) -> int:
         raise FormatError(str(exc), line_no) from None
 
 
+def _demands_bulk(chunk: list[str], tables: list[_PlaceValues]) -> list[DemandEdge]:
+    """The chunk's demands; ValueError when any line is not a well-formed demand."""
+    n = len(tables)
+    width = 1 + 2 * n
+    rows = list(map(str.split, chunk))
+    if list(map(len, rows)).count(width) != len(rows):
+        raise ValueError("a line has the wrong token count")
+    tokens = list(chain.from_iterable(rows))
+    us, vs = _ranks(tokens, 1, width, tables), _ranks(tokens, 1 + n, width, tables)
+    if any(map(eq, us, vs)):
+        raise ValueError("a demand pairs a vertex with itself")
+    return list(map(DemandEdge, map(int, tokens[::width]), us, vs))
+
+
+def _demand_lines(chunk: list[str], first_line: int, spec: GridSpec) -> list[DemandEdge]:
+    """The chunk's demands read line by line; raises the first bad line's FormatError."""
+    n = spec.n
+    edges = []
+    for offset, line in enumerate(chunk, start=first_line):
+        tokens = line.split()
+        if len(tokens) != 1 + 2 * n:
+            raise FormatError(
+                f"demand line needs 1 + 2n = {1 + 2 * n} integers, got {len(tokens)}",
+                offset,
+            )
+        values = _ints(tokens, offset, "coordinate")
+        did, cu, cv = values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :])
+        u, v = _rank(cu, spec, offset), _rank(cv, spec, offset)
+        if u == v:
+            raise FormatError(f"demand {did} pairs vertex {cu!r} with itself", offset)
+        edges.append(DemandEdge(did, u, v))
+    return edges
+
+
 def parse_instance(text: str) -> DemandGraph:
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -88,20 +179,14 @@ def parse_instance(text: str) -> DemandGraph:
     m = _int(count_line[1], 2, "demand count")
     if len(lines) - 2 != m:
         raise FormatError(f"header promises {m} demands, file has {len(lines) - 2}")
-    edges = []
-    for offset, line in enumerate(lines[2:], start=3):
-        tokens = line.split()
-        if len(tokens) != 1 + 2 * n:
-            raise FormatError(
-                f"demand line needs 1 + 2n = {1 + 2 * n} integers, got {len(tokens)}",
-                offset,
-            )
-        values = _ints(tokens, offset, "coordinate")
-        did, cu, cv = values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :])
-        u, v = _rank(cu, spec, offset), _rank(cv, spec, offset)
-        if u == v:
-            raise FormatError(f"demand {did} pairs vertex {cu!r} with itself", offset)
-        edges.append(DemandEdge(did, u, v))
+    del lines[:2]
+    tables = _place_values(spec)
+    edges: list[DemandEdge] = []
+    for start, chunk in _chunks(lines):
+        try:
+            edges += _demands_bulk(chunk, tables)
+        except ValueError:
+            edges += _demand_lines(chunk, start + 3, spec)
     try:
         return DemandGraph(spec, tuple(edges))
     except ValueError as exc:
@@ -109,12 +194,72 @@ def parse_instance(text: str) -> DemandGraph:
 
 
 def emit_routing(routing: Mapping[int, Trail], spec: GridSpec) -> str:
-    render = _renderer(spec)
-    lines = [f"ROUTING {len(routing)}"]
-    for did in sorted(routing):
-        tr = routing[did]
-        lines.append(f"{did} {tr.length} {' | '.join(map(render, tr.vertices))}")
-    return "\n".join(lines) + "\n"
+    names = list(map(str, range(spec.t)))
+    parts = [f"ROUTING {len(routing)}\n"]
+    for _, ids in _chunks(sorted(routing)):
+        trails = [routing[did].vertices for did in ids]
+        ends = list(accumulate(map(len, trails)))
+        texts = list(_render(list(chain.from_iterable(trails)), spec, names))
+        bodies = map(" | ".join, map(texts.__getitem__, map(slice, [0] + ends, ends)))
+        lengths = [len(vs) - 1 for vs in trails]
+        parts.append("".join(map("{} {} {}\n".format, ids, lengths, bodies)))
+    return "".join(parts)
+
+
+def _trails_bulk(
+    chunk: list[str], tables: list[_PlaceValues], routing: dict[int, Trail]
+) -> dict[int, Trail]:
+    """The chunk's trails by demand id; ValueError when any line is not a
+    well-formed trail, or repeats a demand id of the chunk or of `routing`."""
+    n = len(tables)
+    width = n + 1  # a vertex's coordinates and the bar after it
+    # With a bar appended, a line is its id, its length and one width per vertex.
+    rows = [(line + " |").split() for line in chunk]
+    counts = [(len(row) - 2) // width for row in rows]
+    if [2 + k * width for k in counts] != list(map(len, rows)) or min(counts) < 1:
+        raise ValueError("a line has the wrong token count")
+    tokens = list(chain.from_iterable(map(_after_head, rows)))
+    bars = tokens[n::width]
+    if bars.count("|") != len(bars):
+        raise ValueError("a bar is missing")
+    if list(map(int, map(itemgetter(1), rows))) != [k - 1 for k in counts]:
+        raise ValueError("a declared length is wrong")
+    ranks = tuple(_ranks(tokens, 0, width, tables))
+    ends = list(accumulate(counts))
+    trails = map(Trail, map(ranks.__getitem__, map(slice, [0] + ends, ends)))
+    part = dict(zip(map(int, map(itemgetter(0), rows)), trails))
+    if len(part) != len(rows) or not routing.keys().isdisjoint(part):
+        raise ValueError("a demand id repeats")
+    return part
+
+
+def _trail_lines(
+    chunk: list[str], first_line: int, spec: GridSpec, routing: dict[int, Trail]
+) -> None:
+    """Add the chunk's trails to routing line by line; raises the first bad line's FormatError."""
+    for offset, line in enumerate(chunk, start=first_line):
+        segments = line.split("|")
+        first = segments[0].split()
+        if len(first) < 2 + spec.n:
+            raise FormatError("trail line needs an id, a length, and a first vertex", offset)
+        did = _int(first[0], offset, "demand id")
+        declared = _int(first[1], offset, "trail length")
+        vertex_tokens = [first[2:]] + [seg.split() for seg in segments[1:]]
+        vertices = []
+        for tokens in vertex_tokens:
+            if len(tokens) != spec.n:
+                raise FormatError(
+                    f"vertex needs {spec.n} coordinates, got {len(tokens)}", offset
+                )
+            vertices.append(_rank(tuple(_ints(tokens, offset, "coordinate")), spec, offset))
+        if declared != len(vertices) - 1:
+            raise FormatError(
+                f"declared length {declared} but trail has {len(vertices) - 1} edges",
+                offset,
+            )
+        if did in routing:
+            raise FormatError(f"duplicate trail for demand {did}", offset)
+        routing[did] = Trail(tuple(vertices))
 
 
 def parse_routing(text: str, spec: GridSpec) -> dict[int, Trail]:
@@ -129,39 +274,12 @@ def parse_routing(text: str, spec: GridSpec) -> dict[int, Trail]:
     m = _int(head[1], 1, "trail count")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} trails, file has {len(lines) - 1}")
-    t = spec.t
+    del lines[0]
+    tables = _place_values(spec)
     routing: dict[int, Trail] = {}
-    for offset, line in enumerate(lines[1:], start=2):
-        segments = line.split("|")
-        first = segments[0].split()
-        if len(first) < 2 + spec.n:
-            raise FormatError("trail line needs an id, a length, and a first vertex", offset)
-        did = _int(first[0], offset, "demand id")
-        declared = _int(first[1], offset, "trail length")
-        vertex_tokens = [first[2:]] + [seg.split() for seg in segments[1:]]
-        vertices = []
-        for tokens in vertex_tokens:
-            if len(tokens) != spec.n:
-                raise FormatError(
-                    f"vertex needs {spec.n} coordinates, got {len(tokens)}", offset
-                )
-            try:
-                coords = tuple(map(int, tokens))
-            except ValueError:
-                _ints(tokens, offset, "coordinate")  # raises, naming the first bad token
-                raise
-            rank = 0
-            for c in coords:  # vertex_rank inlined: this loop runs once per trail vertex
-                if not 0 <= c < t:
-                    _rank(coords, spec, offset)  # raises, naming the coordinate
-                rank = rank * t + c
-            vertices.append(rank)
-        if declared != len(vertices) - 1:
-            raise FormatError(
-                f"declared length {declared} but trail has {len(vertices) - 1} edges",
-                offset,
-            )
-        if did in routing:
-            raise FormatError(f"duplicate trail for demand {did}", offset)
-        routing[did] = Trail(tuple(vertices))
+    for start, chunk in _chunks(lines):
+        try:
+            routing.update(_trails_bulk(chunk, tables, routing))
+        except ValueError:
+            _trail_lines(chunk, start + 2, spec, routing)
     return routing
