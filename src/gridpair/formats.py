@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from operator import add, eq, floordiv, itemgetter, mod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .demand import DemandEdge, DemandGraph
 from .errors import FormatError
@@ -36,7 +36,7 @@ from .grid import GridSpec, Trail, vertex_from_rank, vertex_rank
 # enough that a chunk's token lists add little to the file text at peak.
 _CHUNK = 256
 
-_after_head = itemgetter(slice(2, None))
+T = TypeVar("T")
 
 
 class _PlaceValues(dict):
@@ -72,7 +72,7 @@ def _ranks(tokens: list[str], start: int, step: int, tables: list[_PlaceValues])
     return ranks
 
 
-def _render(ranks: list[int], spec: GridSpec, names: list[str]) -> Iterable[str]:
+def _render(ranks: Sequence[int], spec: GridSpec, names: list[str]) -> Iterable[str]:
     """Each rank's coordinates as space-separated text; names[c] is str(c)."""
     t, n, size = spec.t, spec.n, spec.num_vertices
     if ranks and not (0 <= min(ranks) and max(ranks) < size):
@@ -85,10 +85,10 @@ def _render(ranks: list[int], spec: GridSpec, names: list[str]) -> Iterable[str]
     return map(" ".join, zip(*digits))
 
 
-def _chunks(lines: list[str]) -> Iterable[tuple[int, list[str]]]:
-    """(index of the first line, lines) for each chunk of _CHUNK lines."""
-    for start in range(0, len(lines), _CHUNK):
-        yield start, lines[start : start + _CHUNK]
+def _chunks(items: Sequence[T]) -> Iterable[tuple[int, Sequence[T]]]:
+    """(index of the first item, items) for each chunk of _CHUNK items."""
+    for start in range(0, len(items), _CHUNK):
+        yield start, items[start : start + _CHUNK]
 
 
 def emit_instance(dg: DemandGraph) -> str:
@@ -213,12 +213,13 @@ def _trails_bulk(
     well-formed trail, or repeats a demand id of the chunk or of `routing`."""
     n = len(tables)
     width = n + 1  # a vertex's coordinates and the bar after it
-    # With a bar appended, a line is its id, its length and one width per vertex.
+    # With a bar appended, a line is its id, its length and `width` tokens per
+    # vertex. A line of one token fits with no vertex; int() refuses its length "|".
     rows = [(line + " |").split() for line in chunk]
     counts = [(len(row) - 2) // width for row in rows]
-    if [2 + k * width for k in counts] != list(map(len, rows)) or min(counts) < 1:
+    if [2 + k * width for k in counts] != list(map(len, rows)):
         raise ValueError("a line has the wrong token count")
-    tokens = list(chain.from_iterable(map(_after_head, rows)))
+    tokens = list(chain.from_iterable(map(itemgetter(slice(2, None)), rows)))
     bars = tokens[n::width]
     if bars.count("|") != len(bars):
         raise ValueError("a bar is missing")

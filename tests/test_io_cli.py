@@ -272,6 +272,76 @@ def test_verify_json_report(tmp_path, capsys):
     assert payload["stats"]["edges_total"] == 153
 
 
+# Every violation kind and a two-length histogram: the exact bytes of `verify --json`.
+PINNED_REPORT = """\
+{
+  "ok": false,
+  "stats": {
+    "degree_ratio_exact": 1.261859507142915,
+    "degree_ratio_tn": 1.8927892607143724,
+    "edges_total": 18,
+    "edges_used": 3,
+    "length_histogram": {
+      "1": 4,
+      "2": 1
+    },
+    "max_trail_length": 2
+  },
+  "violations": [
+    {
+      "demand_ids": [
+        2
+      ],
+      "detail": "no trail routed",
+      "kind": "MISSING_DEMAND"
+    },
+    {
+      "demand_ids": [
+        5
+      ],
+      "detail": "trail without a demand",
+      "kind": "EXTRA_TRAIL"
+    },
+    {
+      "demand_ids": [
+        3
+      ],
+      "detail": "trail ends ((2, 0), (1, 1)), demand joins ((2, 0), (2, 1))",
+      "kind": "ENDPOINT_MISMATCH"
+    },
+    {
+      "demand_ids": [
+        3
+      ],
+      "detail": "step (2, 0) -> (1, 1)",
+      "kind": "NOT_AN_EDGE"
+    },
+    {
+      "demand_ids": [
+        0,
+        1,
+        4
+      ],
+      "detail": "edge (0, 0) -- (0, 2) used 3 times",
+      "kind": "DUPLICATE_EDGE"
+    }
+  ]
+}
+"""
+
+
+def test_verify_json_report_bytes_are_pinned(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    routed = tmp_path / "routing.txt"
+    inst.write_text("GRID 3 2\nDEMANDS 5\n0 0 0 0 2\n1 0 0 0 2\n2 1 1 2 2\n3 2 0 2 1\n4 0 2 0 0\n")
+    routed.write_text(
+        "ROUTING 5\n0 1 0 0 | 0 2\n1 1 0 0 | 0 2\n3 1 2 0 | 1 1\n4 1 0 2 | 0 0\n"
+        "5 2 2 2 | 2 1 | 2 0\n"
+    )
+    assert main(["verify", str(inst), str(routed), "--json"]) == 1
+    assert capsys.readouterr().out == PINNED_REPORT
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
