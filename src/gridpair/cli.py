@@ -229,7 +229,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"max trail {report.stats.max_trail_length}, "
             f"verify {'ok' if report.ok else 'FAILED'} in {checked * 1000:.1f} ms"
         )
-        del dg, routing, report  # the next seed's instance and routing need not share the peak
+        del dg, routing, report  # freed before the next seed builds its own
     print(
         f"summary: {args.seeds} runs on K_{spec.t}^{spec.n}, "
         f"mean {sum(times) / len(times) * 1000:.1f} ms, "

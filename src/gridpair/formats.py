@@ -15,7 +15,8 @@ runs per coordinate. A parser splits each line of a chunk once and checks
 the chunk's shape with list operations. Then every coordinate token is
 looked up in a table for its position that maps it to its coordinate times
 its place value, and the lookups are summed into ranks. An emitter cuts a
-chunk's ranks into digits and names each digit from one table.
+chunk's ranks into groups of base-t digits and looks each group's text up
+in a table of at most `_NAMES_MAX` names.
 
 A chunk the bulk path refuses is read again line by line. That slower code
 accepts what the bulk path cannot take (a vertex written `0|1`, say) and
@@ -24,7 +25,7 @@ otherwise raises the first bad line's error, naming its line number.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import add, eq, floordiv, itemgetter, mod
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -35,6 +36,10 @@ from .grid import GridSpec, Trail, vertex_from_rank, vertex_rank
 # Lines per bulk step: big enough that per-chunk overhead vanishes, small
 # enough that a chunk's token lists add little to the file text at peak.
 _CHUNK = 256
+
+# Names per emitter table: a group of coordinates is rendered by one lookup,
+# and a table stays a few hundred kB whatever t and n are.
+_NAMES_MAX = 4096
 
 T = TypeVar("T")
 
@@ -72,17 +77,41 @@ def _ranks(tokens: list[str], start: int, step: int, tables: list[_PlaceValues])
     return ranks
 
 
-def _render(ranks: Sequence[int], spec: GridSpec, names: list[str]) -> Iterable[str]:
-    """Each rank's coordinates as space-separated text; names[c] is str(c)."""
-    t, n, size = spec.t, spec.n, spec.num_vertices
-    if ranks and not (0 <= min(ranks) and max(ranks) < size):
+def _name_tables(spec: GridSpec) -> list[tuple[int, int, list[str]]]:
+    """(place value, radix, names) for each group of coordinates, the most
+    significant first. The groups are as even as they can be with at most
+    _NAMES_MAX names each; names[g] is the text of the group's coordinates
+    at value g, with a space after it unless the group is the last."""
+    t, n = spec.t, spec.n
+    per = 1  # coordinates per group
+    while per < n and t ** (per + 1) <= _NAMES_MAX:
+        per += 1
+    count = -(-n // per)
+    digits = list(map(str, range(t)))
+    tables, place = [], t**n
+    for i in range(count):
+        size = n // count + (i < n % count)
+        place //= t**size
+        end = " " if i < count - 1 else ""
+        tables.append((place, t**size, [" ".join(p) + end for p in product(digits, repeat=size)]))
+    return tables
+
+
+def _render(
+    ranks: Sequence[int], spec: GridSpec, tables: list[tuple[int, int, list[str]]]
+) -> Iterable[str]:
+    """Each rank's coordinates as space-separated text."""
+    if ranks and not (0 <= min(ranks) and max(ranks) < spec.num_vertices):
         for rank in ranks:
             vertex_from_rank(rank, spec)  # raises, naming the rank
-    digits = [
-        map(names.__getitem__, map(mod, map(floordiv, ranks, repeat(t ** (n - 1 - i))), repeat(t)))
-        for i in range(n)
+    columns = [
+        map(names.__getitem__, map(mod, map(floordiv, ranks, repeat(place)), repeat(radix)))
+        for place, radix, names in tables
     ]
-    return map(" ".join, zip(*digits))
+    texts = columns[0]
+    for column in columns[1:]:
+        texts = map(add, texts, column)
+    return texts
 
 
 def _chunks(items: Sequence[T]) -> Iterable[tuple[int, Sequence[T]]]:
@@ -92,11 +121,11 @@ def _chunks(items: Sequence[T]) -> Iterable[tuple[int, Sequence[T]]]:
 
 
 def emit_instance(dg: DemandGraph) -> str:
-    spec, names = dg.spec, list(map(str, range(dg.spec.t)))
+    spec, tables = dg.spec, _name_tables(dg.spec)
     parts = [f"GRID {spec.t} {spec.n}\nDEMANDS {len(dg.edges)}\n"]
     for _, chunk in _chunks(dg.edges):
         ids, us, vs = zip(*chunk)
-        lines = map("{} {} {}\n".format, ids, _render(us, spec, names), _render(vs, spec, names))
+        lines = map("{} {} {}\n".format, ids, _render(us, spec, tables), _render(vs, spec, tables))
         parts.append("".join(lines))
     return "".join(parts)
 
@@ -194,12 +223,12 @@ def parse_instance(text: str) -> DemandGraph:
 
 
 def emit_routing(routing: Mapping[int, Trail], spec: GridSpec) -> str:
-    names = list(map(str, range(spec.t)))
+    tables = _name_tables(spec)
     parts = [f"ROUTING {len(routing)}\n"]
     for _, ids in _chunks(sorted(routing)):
         trails = [routing[did].vertices for did in ids]
         ends = list(accumulate(map(len, trails)))
-        texts = list(_render(list(chain.from_iterable(trails)), spec, names))
+        texts = list(_render(list(chain.from_iterable(trails)), spec, tables))
         bodies = map(" | ".join, map(texts.__getitem__, map(slice, [0] + ends, ends)))
         lengths = [len(vs) - 1 for vs in trails]
         parts.append("".join(map("{} {} {}\n".format, ids, lengths, bodies)))

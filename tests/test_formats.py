@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from gridpair import GridSpec, Trail, emit_instance, emit_routing, formats, vertex_from_rank
+from gridpair import (
+    DemandEdge,
+    DemandGraph,
+    GridSpec,
+    Trail,
+    emit_instance,
+    emit_routing,
+    formats,
+    vertex_from_rank,
+)
 from gridpair.errors import FormatError
 
 SPEC = GridSpec(4, 3)
@@ -77,16 +86,29 @@ def test_canonical_files_take_the_bulk_path_and_round_trip(monkeypatch):
     assert emit_routing(trails, SPEC) == routing
 
 
-def test_emitters_match_a_rank_by_rank_rendering():
-    spec = GridSpec(5, 4)
-    routing = {i: Trail(tuple((i * 37 + k * 11) % 625 for k in range(1 + i % 5)))
-               for i in range(700)}
+# One name table (K_5^4, K_2896^1), even groups of coordinates (K_2896^2) and
+# uneven ones (K_18^5: 2 + 2 + 1, K_7^5: 3 + 2).
+@pytest.mark.parametrize("t, n", [(5, 4), (2896, 1), (2896, 2), (18, 5), (7, 5)])
+def test_emitters_match_a_rank_by_rank_rendering(t, n):
+    spec = GridSpec(t, n)
+    size = spec.num_vertices
+    routing = {
+        i: Trail(tuple((i * 7919 + k * 104729) % size for k in range(1 + i % 5)))
+        for i in range(700)
+    }
     expected = [f"ROUTING {len(routing)}"]
     for did in sorted(routing):
         vs = routing[did].vertices
         body = " | ".join(" ".join(map(str, vertex_from_rank(r, spec))) for r in vs)
         expected.append(f"{did} {len(vs) - 1} {body}")
     assert emit_routing(routing, spec) == _text(expected)
+    dg = DemandGraph(
+        spec, tuple(DemandEdge(i, *tr.ends) for i, tr in routing.items() if tr.length)
+    )
+    assert emit_instance(dg).splitlines()[2:] == [
+        " ".join(map(str, (e.id, *vertex_from_rank(e.u, spec), *vertex_from_rank(e.v, spec))))
+        for e in dg.edges
+    ]
 
 
 def test_emitting_a_rank_outside_the_grid_raises():
